@@ -10,10 +10,13 @@ Two problem kinds are supported, both with band degree 1:
 The unknown vector stacks log-moduli and phases of the a_j, the
 per-component zeros, the tied zero, and the scalar (sigma or t); the
 interpolation conditions plus the three real tying equations make the
-system square, and a damped Newton iteration with full flag-pattern
-enumeration and seeded multistart hunts for roots.  Candidates are
+system square, and a damped Newton iteration with a closed-form Jacobian
+and seeded multistart per flag pattern hunts for roots.  Candidates are
 re-validated from scratch (interpolation, tying identity, boundary
-closeness) before they are allowed to compete on the scalar.
+closeness) before they are allowed to compete on the scalar.  On a
+convex ellipsoid every validated candidate is a complex geodesic
+(Lempert), so the search stops at the first one; on a non-convex
+ellipsoid every admissible flag pattern is searched.
 
 Independent references: a closed-form oracle for dimension 1, a
 closed-form oracle for the p = (1, ..., 1) ball, and a certified
@@ -131,6 +134,14 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """What the search did.
+
+    `patterns_tried` counts the flag patterns entered, `starts_tried`
+    the Newton starts over them, `newton_iterations` the Newton steps
+    over all starts; `candidates` lists the validated (pattern, scalar)
+    pairs, at most one per pattern, in search order.
+    """
+
     pattern: tuple[int, ...]
     patterns_tried: int
     starts_tried: int
@@ -147,7 +158,9 @@ class SolveResult:
     components listed in `dropped` are identically zero and were removed
     before solving.  `certified` is True exactly when the ellipsoid is
     convex, where the first-order conditions are known to be sufficient;
-    otherwise the result is only a stationary candidate.
+    otherwise the result is only a stationary candidate.  `alternates`
+    lists other validated candidates within 1e-7 of the scalar; it is
+    empty on convex domains, where the search stops at the first one.
     """
 
     kind: str
@@ -177,39 +190,30 @@ def _mobius_sigma(a: complex, b: complex) -> float:
 # damped Newton on a square real system
 
 
-def _numeric_jacobian(F, x, fx):
-    d = x.size
-    J = np.empty((fx.size, d))
-    for i in range(d):
-        h = 1e-7 * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        J[:, i] = (F(xp) - fx) / h
-    return J
-
-
-def _damped_newton(F, x0, guard, max_iter: int, tol: float):
+def _damped_newton(F, jac, x0, guard, max_iter: int, tol: float):
     """Newton with backtracking line search and a regularized fallback.
 
-    Returns (x, iterations) on convergence, (None, iterations) on
-    failure.  `guard` rejects out-of-box iterates before F is called.
+    F(x) returns the residual and the intermediate values from which
+    jac builds the Jacobian at the same x.  Returns (x, iterations) on
+    convergence, (None, iterations) on failure.  `guard` rejects
+    out-of-box iterates before F is called.
     """
     x = np.array(x0, dtype=float)
     if not guard(x):
         return None, 0
-    fx = F(x)
+    fx, parts = F(x)
     nrm = float(np.max(np.abs(fx)))
     for it in range(max_iter):
         if nrm < tol:
             return x, it
-        J = _numeric_jacobian(F, x, fx)
+        J = jac(parts)
         step, *_ = np.linalg.lstsq(J, -fx, rcond=None)
         accepted = False
         t = 1.0
         while t >= 1e-12:
             xn = x + t * step
             if guard(xn):
-                fn = F(xn)
+                fn, pn = F(xn)
                 nn = float(np.max(np.abs(fn)))
                 if nn <= (1.0 - 1e-4 * t) * nrm or nn < tol:
                     accepted = True
@@ -222,7 +226,7 @@ def _damped_newton(F, x0, guard, max_iter: int, tol: float):
                 step = np.linalg.solve(A, -J.T @ fx)
                 xn = x + step
                 if guard(xn):
-                    fn = F(xn)
+                    fn, pn = F(xn)
                     nn = float(np.max(np.abs(fn)))
                     if nn < nrm:
                         accepted = True
@@ -230,28 +234,12 @@ def _damped_newton(F, x0, guard, max_iter: int, tol: float):
                 lam *= 10.0
             if not accepted:
                 return None, it + 1
-        x, fx, nrm = xn, fn, nn
+        x, fx, parts, nrm = xn, fn, pn, nn
     return (x, max_iter) if nrm < tol else (None, max_iter)
 
 
 # ---------------------------------------------------------------------------
-# the band-degree-1 residual systems
-
-
-def _phi_deg1(a, alpha, alpha0, rpat, p, lam):
-    """Family values at one interior point for band degree 1."""
-    num = 1.0 - np.conj(alpha) * lam
-    den = 1.0 - np.conj(alpha0) * lam
-    h = np.exp((np.log(num) - np.log(den)) / p)
-    mob = np.where(rpat == 1, (lam - alpha) / num, 1.0)
-    return a * mob * h
-
-
-def _dphi0_deg1(a, alpha, alpha0, rpat, p):
-    """Family derivative at lam = 0 for band degree 1."""
-    hp = (np.conj(alpha0) - np.conj(alpha)) / p
-    full = (1.0 - np.abs(alpha) ** 2) + (-alpha) * hp
-    return a * np.where(rpat == 1, full, hp)
+# the band-degree-1 residual system
 
 
 def _unpack(x, n):
@@ -263,72 +251,147 @@ def _unpack(x, n):
     return rho, psi, alpha, alpha0, scalar
 
 
-def _tie_residuals(w, alpha, alpha0):
-    c1 = np.sum(w * alpha) - alpha0
-    c2 = float(np.sum(w * (1.0 + np.abs(alpha) ** 2))
-               - (1.0 + abs(alpha0) ** 2))
-    return c1, c2
+def _system(kind, z, tg, rpat, p):
+    """Residual and closed-form Jacobian of the band-degree-1 system.
 
-
-def _two_point_F(z, w_target, rpat, p):
+    Rows: phi(0) - z, the second datum (phi(s) - w for two-point,
+    phi'(0) - s X for point-direction), both split into real and
+    imaginary parts, then the tying equations sum_j w_j alpha_j = alpha0
+    and sum_j w_j (1 + |alpha_j|^2) = 1 + |alpha0|^2 with weights
+    w_j = |a_j|^(2 p_j).  Component rows depend only on their own
+    (rho_j, psi_j, alpha_j), on alpha0 and on s, and only
+    antiholomorphically on the zeros, so the Jacobian comes from the
+    Wirtinger derivatives d/d(alpha_j) and d/d(conj alpha_j): a real
+    column x pairs with D + Dbar, an imaginary column y with i (D - Dbar).
+    """
     n = z.size
+    full = rpat == 1
+    two_point = kind == "two-point"
+    idx = np.arange(n)
+    cols = 4 * n + 3
 
-    def F(x):
-        rho, psi, alpha, alpha0, sigma = _unpack(x, n)
+    def residual(x):
+        rho, psi, alpha, alpha0, s = _unpack(x, n)
         a = np.exp(rho + 1j * psi)
         wgt = np.exp(2.0 * p * rho)
-        phi0 = a * np.where(rpat == 1, -alpha, 1.0)
-        phis = _phi_deg1(a, alpha, alpha0, rpat, p, sigma)
-        c1, c2 = _tie_residuals(wgt, alpha, alpha0)
+        phi0 = a * np.where(full, -alpha, 1.0)
+        if two_point:
+            # phi(s) = a * mob * h, h = ((1 - conj(alpha) s)
+            # / (1 - conj(alpha0) s))^(1/p) on the principal branch
+            num = 1.0 - np.conj(alpha) * s
+            den = 1.0 - np.conj(alpha0) * s
+            h = np.exp((np.log(num) - np.log(den)) / p)
+            mob = np.where(full, (s - alpha) / num, 1.0)
+            second = a * mob * h
+            e1 = second - tg
+            extra = (num, den, h)
+        else:
+            # phi'(0) = a * ((1 - |alpha|^2) - alpha hp) or a * hp
+            hp = (np.conj(alpha0) - np.conj(alpha)) / p
+            second = a * np.where(full, (1.0 - np.abs(alpha) ** 2)
+                                  + (-alpha) * hp, hp)
+            e1 = second - s * tg
+            extra = (hp,)
+        c1 = np.sum(wgt * alpha) - alpha0
+        c2 = float(np.sum(wgt * (1.0 + np.abs(alpha) ** 2))
+                   - (1.0 + abs(alpha0) ** 2))
         e0 = phi0 - z
-        es = phis - w_target
-        return np.concatenate([
-            e0.real, e0.imag, es.real, es.imag,
-            [c1.real, c1.imag, c2],
-        ])
+        f = np.concatenate([e0.real, e0.imag, e1.real, e1.imag,
+                            [c1.real, c1.imag, c2]])
+        return f, (alpha, alpha0, s, a, wgt, phi0, second) + extra
 
-    return F
+    def block(val, d, dbar, d0bar, ds):
+        """Complex rows of a component residual over the real columns."""
+        C = np.zeros((n, cols), dtype=complex)
+        C[idx, idx] = val                       # d/d(rho_j): linear in a_j
+        C[idx, n + idx] = 1j * val              # d/d(psi_j)
+        C[idx, 2 * n + 2 * idx] = d + dbar
+        C[idx, 2 * n + 2 * idx + 1] = 1j * (d - dbar)
+        C[:, 4 * n] = d0bar                     # antiholomorphic in alpha0
+        C[:, 4 * n + 1] = -1j * d0bar
+        C[:, 4 * n + 2] = ds
+        return np.concatenate([C.real, C.imag])
 
+    def jacobian(parts):
+        alpha, alpha0, s, a, wgt, phi0, second, *extra = parts
+        zero = np.zeros(n, dtype=complex)
+        rows0 = block(phi0, np.where(full, -a, 0.0), zero, zero, zero)
+        if two_point:
+            num, den, h = extra
+            d = np.where(full, -a * h / num, 0.0)
+            dbar = second * s / num * (full - 1.0 / p)
+            d0bar = second * s / (p * den)
+            ds = (np.where(full, a * h * (1.0 - np.abs(alpha) ** 2) / num ** 2,
+                           0.0)
+                  + second / p * (np.conj(alpha0) / den
+                                  - np.conj(alpha) / num))
+        else:
+            (hp,) = extra
+            d = np.where(full, a * (-np.conj(alpha) - hp), 0.0)
+            dbar = np.where(full, a * alpha * (1.0 / p - 1.0), -a / p)
+            d0bar = np.where(full, -a * alpha / p, a / p)
+            ds = -tg
+        rows1 = block(second, d, dbar, d0bar, ds)
+        tie = np.zeros((3, cols))
+        dw = 2.0 * p * wgt                      # d(w_j)/d(rho_j)
+        tie[0, idx] = (dw * alpha).real
+        tie[1, idx] = (dw * alpha).imag
+        tie[2, idx] = dw * (1.0 + np.abs(alpha) ** 2)
+        tie[0, 2 * n + 2 * idx] = wgt
+        tie[1, 2 * n + 2 * idx + 1] = wgt
+        tie[2, 2 * n + 2 * idx] = 2.0 * wgt * alpha.real
+        tie[2, 2 * n + 2 * idx + 1] = 2.0 * wgt * alpha.imag
+        tie[0, 4 * n] = tie[1, 4 * n + 1] = -1.0
+        tie[2, 4 * n] = -2.0 * alpha0.real
+        tie[2, 4 * n + 1] = -2.0 * alpha0.imag
+        return np.concatenate([rows0, rows1, tie])
 
-def _point_direction_F(z, X, rpat, p):
-    n = z.size
-
-    def F(x):
-        rho, psi, alpha, alpha0, t = _unpack(x, n)
-        a = np.exp(rho + 1j * psi)
-        wgt = np.exp(2.0 * p * rho)
-        phi0 = a * np.where(rpat == 1, -alpha, 1.0)
-        dphi = _dphi0_deg1(a, alpha, alpha0, rpat, p)
-        c1, c2 = _tie_residuals(wgt, alpha, alpha0)
-        e0 = phi0 - z
-        ed = dphi - t * X
-        return np.concatenate([
-            e0.real, e0.imag, ed.real, ed.imag,
-            [c1.real, c1.imag, c2],
-        ])
-
-    return F
+    return residual, jacobian
 
 
 def _make_guard(n, scalar_hi):
+    """Box test on an iterate, in plain Python: it runs on every trial step.
+
+    The tests only reject, so their order is free: the zeros leaving the
+    disc, by far the most common rejection, come first, and NaN (which
+    fails no comparison) is caught by the finiteness test at the end.
+    """
     def guard(x):
-        if not np.all(np.isfinite(x)):
+        v = x.tolist()
+        for re, im in zip(v[2 * n: 4 * n: 2], v[2 * n + 1: 4 * n: 2]):
+            if abs(complex(re, im)) > 1.0 - 1e-12:
+                return False
+        if abs(complex(v[4 * n], v[4 * n + 1])) > 1.0 - 1e-9:
             return False
-        rho, _, alpha, alpha0, scalar = _unpack(x, n)
-        if np.any(np.abs(rho) > 30.0):
+        for rho in v[:n]:
+            if abs(rho) > 30.0:
+                return False
+        if not 1e-8 < v[4 * n + 2] < scalar_hi:
             return False
-        if np.any(np.abs(alpha) > 1.0 - 1e-12):
-            return False
-        if abs(alpha0) > 1.0 - 1e-9:
-            return False
-        return 1e-8 < scalar < scalar_hi
+        return all(map(math.isfinite, v))
 
     return guard
 
 
-def _seed_two_point(z, w_target, rpat, p):
+def _second_datum(kind, z, tg):
+    """Seed phase, seed scalar and scalar ceiling for the second datum.
+
+    Two-point: the phase and size of the Mobius quotient per component.
+    Point-direction: the phase of X and the per-component Schwarz-Pick
+    cap min (1 - |z_j|^2) / |X_j|.
+    """
+    if kind == "two-point":
+        quot = (tg - z) / (1.0 - np.conj(z) * tg)
+        scalar0 = float(np.clip(1.05 * np.max(np.abs(quot)), 0.05, 0.95))
+        return np.angle(quot), scalar0, 1.0 - 1e-9
+    nz = tg != 0
+    cap = float(np.min((1.0 - np.abs(z[nz]) ** 2) / np.abs(tg[nz])))
+    return np.angle(np.where(nz, tg, 1.0)), 0.8 * cap, 10.0 * cap
+
+
+def _seed(z, beta, scalar0, rpat, p):
+    """Start of a flag pattern: circle factors carry the phase beta."""
     n = z.size
-    beta = np.angle((w_target - z) / (1.0 - np.conj(z) * w_target))
     alpha = np.where(rpat == 1, -z * np.exp(-1j * beta),
                      0.05 + 0.05j * np.ones(n))
     rho = np.where(rpat == 1, 0.0,
@@ -338,27 +401,7 @@ def _seed_two_point(z, w_target, rpat, p):
     alpha0 = np.sum(wgt * alpha)
     if abs(alpha0) > 0.9:
         alpha0 = 0.9 * alpha0 / abs(alpha0)
-    sigma0 = float(np.clip(1.05 * max(
-        _mobius_sigma(z[j], w_target[j]) for j in range(n)), 0.05, 0.95))
-    return _pack(rho, psi, alpha, alpha0, sigma0)
-
-
-def _seed_point_direction(z, X, rpat, p):
-    n = z.size
-    beta = np.angle(np.where(X == 0, 1.0, X))
-    alpha = np.where(rpat == 1, -z * np.exp(-1j * beta),
-                     0.05 + 0.05j * np.ones(n))
-    rho = np.where(rpat == 1, 0.0,
-                   np.log(np.maximum(np.abs(z), 1e-8)))
-    psi = np.where(rpat == 1, beta, np.angle(np.where(z == 0, 1.0, z)))
-    wgt = np.exp(2.0 * p * rho)
-    alpha0 = np.sum(wgt * alpha)
-    if abs(alpha0) > 0.9:
-        alpha0 = 0.9 * alpha0 / abs(alpha0)
-    caps = [(1.0 - abs(z[j]) ** 2) / abs(X[j])
-            for j in range(n) if X[j] != 0]
-    t0 = 0.8 * min(caps)
-    return _pack(rho, psi, alpha, alpha0, t0)
+    return _pack(rho, psi, alpha, alpha0, scalar0)
 
 
 def _pack(rho, psi, alpha, alpha0, scalar):
@@ -464,41 +507,29 @@ def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
             f"flag enumeration over {n} components is too large "
             f"(limit {config.max_patterns_dim})")
 
-    if kind == "two-point":
-        scalar_hi = 1.0 - 1e-9
-        make_F = lambda rpat: _two_point_F(z, tg, rpat, p)
-        seed = lambda rpat: _seed_two_point(z, tg, rpat, p)
-        better = lambda s, best: s < best
-        init_best = float("inf")
-    else:
-        caps = [(1.0 - abs(z[j]) ** 2) / abs(tg[j])
-                for j in range(n) if tg[j] != 0]
-        scalar_hi = 10.0 * min(caps) if caps else 1e6
-        make_F = lambda rpat: _point_direction_F(z, tg, rpat, p)
-        seed = lambda rpat: _seed_point_direction(z, tg, rpat, p)
-        better = lambda s, best: s > best
-        init_best = 0.0
-
+    # two-point minimizes sigma, point-direction maximizes t
+    sign = 1.0 if kind == "two-point" else -1.0
+    beta, scalar0, scalar_hi = _second_datum(kind, z, tg)
     rng = np.random.default_rng(config.seed)
     guard = _make_guard(n, scalar_hi)
     best = None
-    best_scalar = init_best
     candidates = []
     patterns = _patterns(n, z, r_pattern)
     if not patterns:
         raise SolveError("no admissible flag pattern "
                          "(zero components need flag 1)")
+    patterns_tried = 0
     starts_tried = 0
     newton_iters = 0
     for pat in patterns:
+        patterns_tried += 1
         rpat = np.asarray(pat)
-        F = make_F(rpat)
-        x_base = seed(rpat)
-        found_for_pattern = False
+        F, jac = _system(kind, z, tg, rpat, p)
+        x_base = _seed(z, beta, scalar0, rpat, p)
         for trial in range(config.starts + 1):
             x0 = x_base if trial == 0 else _perturb(x_base, rng, n, scalar_hi)
             starts_tried += 1
-            x, iters = _damped_newton(F, x0, guard,
+            x, iters = _damped_newton(F, jac, x0, guard,
                                       config.newton_max_iter,
                                       config.newton_tol)
             newton_iters += iters
@@ -514,17 +545,18 @@ def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
             if not ok:
                 continue
             candidates.append((pat, scalar))
-            found_for_pattern = True
-            if best is None or better(scalar, best_scalar):
+            if best is None or sign * scalar < sign * best[3]:
                 best = (params, report, pat, scalar)
-                best_scalar = scalar
-            if found_for_pattern:
-                break
+            break  # one validated candidate per pattern
+        # on a convex domain every validated member is a complex geodesic
+        # (Lempert), so its scalar is already the extremal value
+        if best is not None and ellipsoid.is_convex:
+            break
     elapsed = time.monotonic() - t_start
     if best is None:
         raise SolveError(
             f"no validated solution after {starts_tried} starts over "
-            f"{len(patterns)} flag patterns")
+            f"{patterns_tried} flag patterns")
     params, report, pat, scalar = best
     alternates = tuple((q, s) for q, s in candidates
                        if (q, s) != (pat, scalar)
@@ -534,7 +566,7 @@ def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
              else "extremal candidate (stationarity only: domain not convex)")
     diag = SolveDiagnostics(
         pattern=pat,
-        patterns_tried=len(patterns),
+        patterns_tried=patterns_tried,
         starts_tried=starts_tried,
         newton_iterations=newton_iters,
         candidates=tuple(candidates),

@@ -1,5 +1,7 @@
 """Interpolation solver, closed-form oracles, and the competitor search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ from ellipsogeo.solver import (
     SolverConfig,
     TwoPointProblem,
     _brute_objective,
+    _perturb,
+    _second_datum,
+    _seed,
+    _system,
     ball_oracle,
     brute_force_disc,
     mobius_oracle,
@@ -138,6 +144,81 @@ def test_point_direction_axis_disc():
     assert res.dropped == (1,)
     vals = evaluate(res.params, Ellipsoid((1.0,)), 0.3)
     assert abs(vals[0] - 0.3) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Newton system and search
+
+
+@pytest.mark.parametrize("kind", ["two-point", "point-direction"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_jacobian_matches_central_differences(kind, n):
+    rng = np.random.default_rng(10 * n + len(kind))
+    p = rng.uniform(0.3, 3.0, n)
+    z = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    tg = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    beta, scalar0, scalar_hi = _second_datum(kind, z, tg)
+    for pat in itertools.product((1, 0), repeat=n):
+        rpat = np.asarray(pat)
+        F, jac = _system(kind, z, tg, rpat, p)
+        x = _perturb(_seed(z, beta, scalar0, rpat, p), rng, n, scalar_hi)
+        J = jac(F(x)[1])
+        fd = np.empty_like(J)
+        h = 1e-6
+        for k in range(x.size):
+            xp = x.copy()
+            xp[k] += h
+            xm = x.copy()
+            xm[k] -= h
+            fd[:, k] = (F(xp)[0] - F(xm)[0]) / (2 * h)
+        assert np.max(np.abs(J - fd)) < 1e-8 * max(1.0, np.max(np.abs(J))), pat
+
+
+@pytest.mark.parametrize("p, kind, z, tg", [
+    ((1.0, 2.0), "tp", (0.1, 0.2 + 0.1j), (0.3 - 0.1j, 0.1)),
+    ((0.6, 3.0), "tp", (0.1, 0.2j), (0.3, -0.1)),
+    ((1.0, 1.0, 1.0), "pd", (0.1, 0.2j, 0.1), (0.3, -0.1, 0.05j)),
+])
+def test_convex_first_candidate_is_not_beaten_by_any_pattern(p, kind, z, tg):
+    # the convex search stops at its first validated candidate; forcing
+    # each flag pattern in turn must not find a better scalar
+    E = Ellipsoid(p)
+    if kind == "tp":
+        prob, solve, sign = TwoPointProblem(z, tg), solve_two_point, 1.0
+    else:
+        prob, solve, sign = (PointDirectionProblem(z, tg),
+                             solve_point_direction, -1.0)
+    res = solve(E, prob)
+    assert res.diagnostics.patterns_tried == 1
+    assert res.alternates == ()
+    assert_gates(res)
+    for pat in itertools.product("10", repeat=len(p)):
+        try:
+            forced = solve(E, prob, r_pattern="".join(pat))
+        except SolveError:
+            continue
+        assert sign * (res.scalar - forced.scalar) <= 1e-7, pat
+
+
+def test_nonconvex_search_enumerates_every_pattern():
+    E = Ellipsoid((0.3, 1.0))
+    res = solve_two_point(E, TwoPointProblem((0.05, 0.2j), (0.1, -0.1)))
+    assert not res.certified
+    assert res.diagnostics.patterns_tried == 4
+    assert res.diagnostics.starts_tried >= 4
+    assert_gates(res)
+
+
+def test_baseline_instance_search_counts():
+    # exact counts on the baseline p = (1, 2) instance: the first pattern
+    # validates at its first start, after 6 Newton iterations
+    E = Ellipsoid((1.0, 2.0))
+    res = solve_two_point(E, TwoPointProblem((0.1, 0.2 + 0.1j),
+                                             (0.3 - 0.1j, 0.1)))
+    d = res.diagnostics
+    assert (d.patterns_tried, d.starts_tried, d.newton_iterations) == (1, 1, 6)
+    assert d.pattern == (1, 1)
+    assert len(d.candidates) == 1
 
 
 # ---------------------------------------------------------------------------
