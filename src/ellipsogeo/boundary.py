@@ -346,7 +346,9 @@ def fit_extremal_family(
             sol = least_squares(residual, x0, method="lm",
                                 xtol=1e-15, ftol=1e-15, gtol=1e-15,
                                 max_nfev=4000)
-        except Exception:
+        except ValueError:
+            # least_squares raises this for a start it cannot use, such
+            # as one with non-finite residuals
             continue
         if not np.all(np.isfinite(sol.x)):
             continue

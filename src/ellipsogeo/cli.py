@@ -20,7 +20,7 @@ import numpy as np
 
 from . import boundary, extremal_map, functionals, polyfactor, solver
 from .ellipsoid import Ellipsoid
-from .extremal_map import SCHEMA
+from .extremal_map import SCHEMA, pair, unpair
 
 
 class _UsageError(Exception):
@@ -42,7 +42,11 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write text atomically to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
@@ -57,29 +61,41 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(args, obj: dict) -> None:
     obj = {"schema": SCHEMA, **obj}
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "output", None):
-        _atomic_write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _pair(x) -> list[float]:
-    return [float(np.real(x)), float(np.imag(x))]
+def _grid_csv(names, columns) -> str:
+    """CSV with one row per sample of the circle grid the columns share."""
+    M = len(columns[0])
+    lines = [",".join(["index", "angle", *names])]
+    for i in range(M):
+        vals = ",".join(repr(float(col[i])) for col in columns)
+        lines.append(f"{i},{2 * math.pi * i / M!r},{vals}")
+    return "\n".join(lines) + "\n"
 
 
-def _unpair(v) -> complex:
-    return complex(v[0], v[1])
-
-
-def _params_in(obj: dict) -> extremal_map.ExtremalMapParams:
-    return extremal_map.params_from_json(obj)
+def _boundary_csv(trace) -> str:
+    names = [f"{part}_{j}" for j in range(len(trace)) for part in ("re", "im")]
+    return _grid_csv(names, [c for row in trace for c in (row.real, row.imag)])
 
 
 def _bundle_in(obj: dict):
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
-    params = _params_in(obj["params"])
+    params = extremal_map.params_from_json(obj["params"])
     return ellipsoid, params
+
+
+def _problem_in(obj: dict):
+    """The two_point or point_direction section as a solver problem."""
+    if "two_point" in obj:
+        spec = obj["two_point"]
+        return solver.TwoPointProblem(tuple(map(unpair, spec["z"])),
+                                      tuple(map(unpair, spec["w"])))
+    if "point_direction" in obj:
+        spec = obj["point_direction"]
+        return solver.PointDirectionProblem(tuple(map(unpair, spec["z"])),
+                                            tuple(map(unpair, spec["X"])))
+    raise _UsageError("input needs a two_point or point_direction section")
 
 
 def _result_json(res: solver.SolveResult) -> dict:
@@ -113,20 +129,8 @@ def cmd_eval(args) -> int:
     obj = _load_json(args.input)
     ellipsoid, params = _bundle_in(obj)
     if args.boundary:
-        M = args.grid
-        trace = extremal_map.boundary_trace(params, ellipsoid, M)
-        lines = ["index,angle," + ",".join(
-            f"re_{j},im_{j}" for j in range(params.n))]
-        for i in range(M):
-            vals = ",".join(
-                f"{float(trace[j, i].real)!r},{float(trace[j, i].imag)!r}"
-                for j in range(params.n))
-            lines.append(f"{i},{2 * math.pi * i / M!r},{vals}")
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            _atomic_write(args.output, text)
-        else:
-            sys.stdout.write(text)
+        trace = extremal_map.boundary_trace(params, ellipsoid, args.grid)
+        _write(args.output, _boundary_csv(trace))
         return 0
     if args.at is None:
         raise _UsageError("eval needs --at RE,IM or --boundary")
@@ -138,8 +142,8 @@ def cmd_eval(args) -> int:
     vals = extremal_map.evaluate(params, ellipsoid, lam)
     _emit(args, {
         "command": "eval",
-        "config": {"at": _pair(lam)},
-        "values": [_pair(v) for v in vals],
+        "config": {"at": pair(lam)},
+        "values": [pair(v) for v in vals],
         "defining_value": ellipsoid.defining_value(vals),
     })
     return 0
@@ -195,24 +199,12 @@ def cmd_solve(args) -> int:
     echo = {"seed": args.seed, "starts": args.starts, "tol": args.tol,
             "boundary_tol": args.boundary_tol, "grid": args.grid,
             "r_pattern": args.r_pattern}
+    problem = _problem_in(obj)
+    solve = (solver.solve_two_point
+             if isinstance(problem, solver.TwoPointProblem)
+             else solver.solve_point_direction)
     try:
-        if "two_point" in obj:
-            spec = obj["two_point"]
-            problem = solver.TwoPointProblem(
-                tuple(_unpair(v) for v in spec["z"]),
-                tuple(_unpair(v) for v in spec["w"]))
-            res = solver.solve_two_point(ellipsoid, problem, config,
-                                         r_pattern=args.r_pattern)
-        elif "point_direction" in obj:
-            spec = obj["point_direction"]
-            problem = solver.PointDirectionProblem(
-                tuple(_unpair(v) for v in spec["z"]),
-                tuple(_unpair(v) for v in spec["X"]))
-            res = solver.solve_point_direction(ellipsoid, problem, config,
-                                               r_pattern=args.r_pattern)
-        else:
-            raise _UsageError(
-                "input needs a two_point or point_direction section")
+        res = solve(ellipsoid, problem, config, r_pattern=args.r_pattern)
     except solver.SolveError as exc:
         _emit(args, {"command": "solve", "config": echo,
                      "status": "failed", "error": str(exc)})
@@ -224,7 +216,7 @@ def cmd_solve(args) -> int:
 
 def cmd_factor(args) -> int:
     obj = _load_json(args.input)
-    coeffs = tuple(_unpair(v) for v in obj["coefficients"])
+    coeffs = tuple(map(unpair, obj["coefficients"]))
     try:
         poly = polyfactor.SelfInversivePoly(coeffs, tol=max(args.tol, 1e-9))
         form = polyfactor.factor(poly, tol=args.tol)
@@ -237,7 +229,7 @@ def cmd_factor(args) -> int:
         "config": {"tol": args.tol},
         "status": "ok",
         "scale": form.scale,
-        "zeros": [_pair(a) for a in form.zeros],
+        "zeros": [pair(a) for a in form.zeros],
     })
     return 0
 
@@ -246,8 +238,8 @@ def cmd_fit(args) -> int:
     obj = _load_json(args.input)
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     m = int(obj.get("m", args.m))
-    samples = np.array([[_unpair(v) for v in row] for row in obj["samples"]])
-    zeros = [[_unpair(v) for v in row] for row in obj["zeros"]]
+    samples = np.array([[unpair(v) for v in row] for row in obj["samples"]])
+    zeros = [[unpair(v) for v in row] for row in obj["zeros"]]
     try:
         report = boundary.fit_extremal_family(samples, zeros, ellipsoid, m,
                                               tol=args.tol)
@@ -277,7 +269,7 @@ def _spec_to_json(spec: functionals.ProblemSpec) -> dict:
             {
                 "nu": f.nu,
                 "terms": [
-                    {str(s): _pair(c) for s, c in table.items()}
+                    {str(s): pair(c) for s, c in table.items()}
                     for table in f.terms
                 ],
             }
@@ -285,20 +277,20 @@ def _spec_to_json(spec: functionals.ProblemSpec) -> dict:
         ],
         "targets": list(spec.targets),
         "band_degree": spec.band_degree,
-        "sigma": [_pair(s) for s in spec.sigma],
+        "sigma": [pair(s) for s in spec.sigma],
     }
 
 
 def _spec_from_json(obj: dict) -> functionals.ProblemSpec:
     funcs = []
     for f in obj["functionals"]:
-        terms = tuple({int(s): _unpair(c) for s, c in table.items()}
+        terms = tuple({int(s): unpair(c) for s, c in table.items()}
                       for table in f["terms"])
         funcs.append(functionals.BoundaryFunctional(terms, float(f["nu"])))
     return functionals.ProblemSpec(
         tuple(funcs), tuple(obj["targets"]),
         int(obj["band_degree"]),
-        tuple(_unpair(s) for s in obj["sigma"]))
+        tuple(map(unpair, obj["sigma"])))
 
 
 def cmd_functional(args) -> int:
@@ -306,14 +298,14 @@ def cmd_functional(args) -> int:
     if "build" in obj:
         spec_in = obj["build"]
         kind = spec_in["kind"]
-        z = tuple(_unpair(v) for v in spec_in["z"])
+        z = tuple(map(unpair, spec_in["z"]))
         if kind == "two-point":
             spec = functionals.build_two_point_problem(
-                z, tuple(_unpair(v) for v in spec_in["w"]),
+                z, tuple(map(unpair, spec_in["w"])),
                 float(spec_in["sigma"]))
         elif kind == "point-direction":
             spec = functionals.build_point_direction_problem(
-                z, tuple(_unpair(v) for v in spec_in["X"]))
+                z, tuple(map(unpair, spec_in["X"])))
         else:
             raise _UsageError(f"unknown build kind {kind!r}")
         _emit(args, {"command": "functional", "config": {"build": kind},
@@ -324,7 +316,7 @@ def cmd_functional(args) -> int:
     if "evaluate" in obj:
         section = obj["evaluate"]
         spec = _spec_from_json(section["problem"])
-        disc = np.array([[_unpair(v) for v in row]
+        disc = np.array([[unpair(v) for v in row]
                          for row in section["disc"]])
         M = section.get("grid")
         values = [functionals.eval_functional(f, disc, M)
@@ -341,18 +333,7 @@ def cmd_functional(args) -> int:
 def cmd_oracle(args) -> int:
     obj = _load_json(args.input)
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
-    if "two_point" in obj:
-        spec = obj["two_point"]
-        problem = solver.TwoPointProblem(
-            tuple(_unpair(v) for v in spec["z"]),
-            tuple(_unpair(v) for v in spec["w"]))
-    elif "point_direction" in obj:
-        spec = obj["point_direction"]
-        problem = solver.PointDirectionProblem(
-            tuple(_unpair(v) for v in spec["z"]),
-            tuple(_unpair(v) for v in spec["X"]))
-    else:
-        raise _UsageError("input needs a two_point or point_direction section")
+    problem = _problem_in(obj)
     kind = obj["kind"]
     config = {"kind": kind, "degree": args.degree, "seed": args.seed}
     if kind == "mobius":
@@ -382,8 +363,8 @@ def cmd_oracle(args) -> int:
             "value": res.value,
             "degree": res.degree,
             "certified_sup_u": res.certified_sup_u,
-            "numerator": [[_pair(c) for c in row] for row in res.numerator],
-            "denominator_zeros": [_pair(b) for b in res.denominator_zeros],
+            "numerator": [[pair(c) for c in row] for row in res.numerator],
+            "denominator_zeros": [pair(b) for b in res.denominator_zeros],
         })
         return 0
     raise _UsageError(f"unknown oracle kind {kind!r}")
@@ -395,28 +376,16 @@ def cmd_plot_data(args) -> int:
     M = args.grid
     trace = extremal_map.boundary_trace(params, ellipsoid, M)
     os.makedirs(args.output, exist_ok=True)
-    lines = ["index,angle," + ",".join(
-        f"re_{j},im_{j}" for j in range(params.n))]
-    for i in range(M):
-        vals = ",".join(f"{float(trace[j, i].real)!r},"
-                        f"{float(trace[j, i].imag)!r}"
-                        for j in range(params.n))
-        lines.append(f"{i},{2 * math.pi * i / M!r},{vals}")
-    _atomic_write(os.path.join(args.output, "boundary.csv"),
-                  "\n".join(lines) + "\n")
+    _write(os.path.join(args.output, "boundary.csv"), _boundary_csv(trace))
     finite = np.all(np.isfinite(trace), axis=0)
     u = np.full(M, float("nan"))
     u[finite] = ellipsoid.defining_values(trace[:, finite])
-    lines = ["index,angle,u"]
-    for i in range(M):
-        lines.append(f"{i},{2 * math.pi * i / M!r},{float(u[i])!r}")
-    _atomic_write(os.path.join(args.output, "residual.csv"),
-                  "\n".join(lines) + "\n")
+    _write(os.path.join(args.output, "residual.csv"), _grid_csv(["u"], [u]))
     manifest = {"schema": SCHEMA, "command": "plot-data",
                 "config": {"grid": M},
                 "files": ["boundary.csv", "residual.csv"]}
-    _atomic_write(os.path.join(args.output, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(args.output, "manifest.json"),
+           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -425,10 +394,9 @@ def _build_parser() -> _Parser:
                      description="extremal discs in complex ellipsoids")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, output=True):
+    def common(sp):
         sp.add_argument("--input", required=True)
-        if output:
-            sp.add_argument("--output", default=None)
+        sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("eval", help="evaluate a parametrized map")
     common(sp)

@@ -44,9 +44,11 @@ __all__ = [
     "constraint_residual",
     "derivative",
     "evaluate",
+    "pair",
     "params_from_json",
     "params_to_json",
     "random_valid_params",
+    "unpair",
 ]
 
 SCHEMA = "ellipso-geo/v1"
@@ -344,12 +346,15 @@ def random_valid_params(
     raise RuntimeError("generator failed: no factorable draw")
 
 
-def _pairs(arr) -> list[list[float]]:
-    return [[float(np.real(x)), float(np.imag(x))] for x in np.asarray(arr).ravel()]
+def pair(x) -> list[float]:
+    """A complex number as the schema's [re, im] pair."""
+    return [float(np.real(x)), float(np.imag(x))]
 
 
-def _unpairs(obj) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj], dtype=complex)
+def unpair(v) -> complex:
+    """The complex number of a schema [re, im] pair."""
+    re, im = v
+    return complex(re, im)
 
 
 def params_to_json(params: ExtremalMapParams) -> dict:
@@ -357,9 +362,9 @@ def params_to_json(params: ExtremalMapParams) -> dict:
         "schema": SCHEMA,
         "m": params.m,
         "n": params.n,
-        "a": _pairs(params.a),
-        "alpha0": _pairs(params.alpha0),
-        "alpha": [_pairs(params.alpha[k]) for k in range(params.m)],
+        "a": [pair(x) for x in params.a],
+        "alpha0": [pair(x) for x in params.alpha0],
+        "alpha": [[pair(x) for x in row] for row in params.alpha],
         "r": [[int(x) for x in row] for row in params.r],
     }
 
@@ -368,12 +373,11 @@ def params_from_json(obj: dict) -> ExtremalMapParams:
     if "schema" in obj and obj["schema"] != SCHEMA:
         raise ValueError(f"unsupported schema {obj['schema']!r}")
     m, n = int(obj["m"]), int(obj["n"])
-    alpha = np.stack([_unpairs(row) for row in obj["alpha"]]) \
-        if m else np.zeros((0, n), complex)
     return ExtremalMapParams(
         m=m, n=n,
-        a=_unpairs(obj["a"]),
-        alpha0=_unpairs(obj["alpha0"]),
-        alpha=alpha.reshape(m, n),
+        a=[unpair(v) for v in obj["a"]],
+        alpha0=[unpair(v) for v in obj["alpha0"]],
+        alpha=np.array([[unpair(v) for v in row] for row in obj["alpha"]],
+                       dtype=complex).reshape(m, n),
         r=np.array(obj["r"], dtype=int).reshape(m, n),
     )

@@ -19,9 +19,10 @@ convex ellipsoid every validated candidate is a complex geodesic
 ellipsoid every admissible flag pattern is searched.
 
 Independent references: a closed-form oracle for dimension 1, a
-closed-form oracle for the p = (1, ..., 1) ball, and a certified
-brute-force upper bound that optimizes rational competitor discs of a
-given numerator degree with denominators zero-free on the closed disc.
+closed-form oracle for the p = (1, ..., 1) ball, and a brute-force
+bound (an upper bound on sigma, a lower bound on t) that optimizes
+rational competitor discs of a given numerator degree with denominators
+zero-free on the closed disc.
 """
 
 from __future__ import annotations
@@ -180,6 +181,15 @@ def _interior_point(ellipsoid: Ellipsoid, v, name: str) -> None:
     if cls.kind is not PointClass.INSIDE:
         raise ValueError(f"{name} is not strictly inside the ellipsoid "
                          f"(u = {cls.value:.3e})")
+
+
+def _kind(problem) -> tuple[str, tuple[complex, ...]]:
+    """The kind of a problem and its second datum (w or X)."""
+    if isinstance(problem, TwoPointProblem):
+        return "two-point", problem.w
+    if isinstance(problem, PointDirectionProblem):
+        return "point-direction", problem.X
+    raise TypeError(f"unsupported problem type {type(problem).__name__}")
 
 
 def _mobius_sigma(a: complex, b: complex) -> float:
@@ -624,44 +634,28 @@ def mobius_oracle(problem) -> tuple[float, ExtremalMapParams]:
     zero equal to the component zero, which satisfies the tying identity
     exactly for every exponent.
     """
-    if isinstance(problem, TwoPointProblem):
-        if len(problem.z) != 1:
-            raise ValueError("mobius oracle requires dimension 1")
-        z, w = problem.z[0], problem.w[0]
-        if abs(z) >= 1 or abs(w) >= 1:
+    kind, second = _kind(problem)
+    if len(problem.z) != 1:
+        raise ValueError("mobius oracle requires dimension 1")
+    z, s = problem.z[0], second[0]
+    if kind == "two-point":
+        if abs(z) >= 1 or abs(s) >= 1:
             raise ValueError("points must lie in the unit disc")
-        num = (w - z) / (1.0 - np.conj(z) * w)
-        sigma = abs(num)
-        beta = float(np.angle(num))
-        alpha = -z * np.exp(-1j * beta)
-        params = ExtremalMapParams(
-            m=1, n=1,
-            a=np.array([np.exp(1j * beta)]),
-            alpha0=np.array([alpha]),
-            alpha=np.array([[alpha]]),
-            r=np.array([[1]]),
-        )
-        return float(sigma), params
-    if isinstance(problem, PointDirectionProblem):
-        if len(problem.z) != 1:
-            raise ValueError("mobius oracle requires dimension 1")
-        z, X = problem.z[0], problem.X[0]
+        num = (s - z) / (1.0 - np.conj(z) * s)
+        value, beta = abs(num), float(np.angle(num))
+    else:
         if abs(z) >= 1:
             raise ValueError("base point must lie in the unit disc")
-        if X == 0:
-            raise ValueError("direction must be nonzero")
-        t = (1.0 - abs(z) ** 2) / abs(X)
-        beta = float(np.angle(X))
-        alpha = -z * np.exp(-1j * beta)
-        params = ExtremalMapParams(
-            m=1, n=1,
-            a=np.array([np.exp(1j * beta)]),
-            alpha0=np.array([alpha]),
-            alpha=np.array([[alpha]]),
-            r=np.array([[1]]),
-        )
-        return float(t), params
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")
+        value, beta = (1.0 - abs(z) ** 2) / abs(s), float(np.angle(s))
+    alpha = -z * np.exp(-1j * beta)
+    params = ExtremalMapParams(
+        m=1, n=1,
+        a=np.array([np.exp(1j * beta)]),
+        alpha0=np.array([alpha]),
+        alpha=np.array([[alpha]]),
+        r=np.array([[1]]),
+    )
+    return float(value), params
 
 
 def ball_oracle(ellipsoid: Ellipsoid, problem: TwoPointProblem) -> float:
@@ -819,40 +813,41 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
 
 
 def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, config, zeta,
-                    zeta_polish=None):
-    """Multistart hinge-penalty feasibility test; returns (ok, x, build).
+                    zeta_cert):
+    """Certified competitor at a fixed scalar: (coeffs, beta, sup_u, x) or None.
 
-    The coarse grid only pins u at its nodes; between nodes u can
+    A multistart hinge-penalty search on the coarse grid `zeta` comes
+    first.  The coarse grid only pins u at its nodes; between nodes u can
     overshoot the margin by grid_spacing^2 times the curvature, so a
-    coarse success is polished on `zeta_polish` (the certification grid)
-    before it counts.  Without the polish the bisection silently treats
-    near-extremal feasible levels as infeasible and returns a bound that
-    is too loose by orders of magnitude.
+    coarse success is polished on the certification grid `zeta_cert`
+    before it counts, and the polished disc must have sup u <= 0 there.
+    Without the polish the bisection silently treats near-extremal
+    feasible levels as infeasible and returns a bound that is too loose
+    by orders of magnitude.
     """
-    cost_grad, build = _brute_objective(p, z, tg, kind, scalar, degree,
-                                        config.brute_margin, zeta)
+    cost_grad, _ = _brute_objective(p, z, tg, kind, scalar, degree,
+                                    config.brute_margin, zeta)
     opts = {"maxiter": config.brute_maxiter, "ftol": 1e-30, "gtol": 1e-30}
     best = None
     for x0 in x0_list:
         res = minimize(cost_grad, x0, method="L-BFGS-B", jac=True,
                        options=opts)
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x)
+        if best is None or res.fun < best.fun:
+            best = res
         if res.fun == 0.0:
             break
-    if best is None:
-        best = (float("inf"), np.zeros(2 * len(z) * (degree - 1) + 2 * degree))
-    ok = best[0] < 1e-20
-    if ok and zeta_polish is not None:
-        fine_cg, fine_build = _brute_objective(p, z, tg, kind, scalar, degree,
-                                               config.brute_margin,
-                                               zeta_polish)
-        res = minimize(fine_cg, best[1], method="L-BFGS-B", jac=True,
-                       options=opts)
-        if res.fun < 1e-20:
-            return True, res.x, fine_build
-        return False, best[1], build
-    return ok, best[1], build
+    if not best.fun < 1e-20:
+        return None
+    fine_cg, fine_build = _brute_objective(p, z, tg, kind, scalar, degree,
+                                           config.brute_margin, zeta_cert)
+    res = minimize(fine_cg, best.x, method="L-BFGS-B", jac=True,
+                   options=opts)
+    if not res.fun < 1e-20:
+        return None
+    coeffs, beta, g = fine_build(res.x)
+    sup_u = float(np.max(np.sum(np.abs(g) ** (2.0 * p[:, None]), axis=0)
+                         - 1.0))
+    return (coeffs, beta, sup_u, res.x) if sup_u <= 0.0 else None
 
 
 def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
@@ -867,23 +862,18 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
     second datum is imposed exactly by coefficient elimination, so the
     search only fights the membership constraint, penalized through a
     hinged max(u + margin, 0)^2 sum on a circle grid.  The scalar is
-    bisected (downward on sigma, upward on t) with warm starts, and
-    every accepted level is re-certified on a dense grid before it may
-    tighten the bracket.
+    bisected on a (good, bad) bracket with warm starts: good is the best
+    certified level so far, bad the level it moves toward (downward on
+    sigma, upward on t).  Every accepted level is re-certified on a dense
+    grid before it may tighten the bracket.
 
     Raises BruteForceError when no feasible disc is found at all.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    kind, second = _kind(problem)
     z_all = np.asarray(problem.z, dtype=complex)
-    if isinstance(problem, TwoPointProblem):
-        kind = "two-point"
-        tg_all = np.asarray(problem.w, dtype=complex)
-    elif isinstance(problem, PointDirectionProblem):
-        kind = "point-direction"
-        tg_all = np.asarray(problem.X, dtype=complex)
-    else:
-        raise TypeError(f"unsupported problem type {type(problem).__name__}")
+    tg_all = np.asarray(second, dtype=complex)
     if z_all.size != ellipsoid.dim:
         raise ValueError("problem dimension does not match the ellipsoid")
     _interior_point(ellipsoid, z_all, "z")
@@ -908,91 +898,47 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
             xs.append(0.3 * rng.standard_normal(nfree))
         return xs
 
-    def certify(build, x):
-        coeffs, beta, _ = build(x)
-        q = np.prod(1.0 - np.conj(beta)[:, None] * zeta_cert[None, :], axis=0)
-        num = np.stack([np.polyval(coeffs[j, ::-1], zeta_cert)
-                        for j in range(n)])
-        g = num / q[None, :]
-        u = np.sum(np.abs(g) ** (2.0 * p[:, None]), axis=0) - 1.0
-        return coeffs, beta, float(np.max(u))
-
-    calls = 0
-    levels = 0
     if kind == "two-point":
-        lo = max(1e-6, 0.999 * max(_mobius_sigma(z[j], tg[j])
-                                   for j in range(n)))
-        witness = None
-        hi = None
-        warm = None
-        for sig in (min(max(lo * 1.01, 0.99), 0.9995), 0.995, 0.999):
-            ok, x, build = _brute_feasible(p, z, tg, kind, sig, degree,
-                                           starts(None), config, zeta,
-                                           zeta_cert)
-            calls += 1
-            if ok:
-                coeffs, beta, supu = certify(build, x)
-                if supu <= 0.0:
-                    hi, witness, warm = sig, (coeffs, beta, supu), x
-                    break
-        if hi is None:
-            raise BruteForceError(
-                f"no feasible competitor disc at degree {degree}")
-        while hi - lo > config.brute_tol:
-            mid = 0.5 * (hi + lo)
-            ok, x, build = _brute_feasible(p, z, tg, kind, mid, degree,
-                                           starts(warm), config, zeta,
-                                           zeta_cert)
-            calls += 1
-            levels += 1
-            if ok:
-                coeffs, beta, supu = certify(build, x)
-                if supu <= 0.0:
-                    hi, witness, warm = mid, (coeffs, beta, supu), x
-                    continue
-            lo = mid
-        coeffs, beta, supu = witness
-        value = hi
+        # no competitor beats the per-component Mobius sigma; probe near 1
+        bad = max(1e-6, 0.999 * max(_mobius_sigma(z[j], tg[j])
+                                    for j in range(n)))
+        probes = (min(max(bad * 1.01, 0.99), 0.9995), 0.995, 0.999)
+        tol = config.brute_tol
     else:
-        caps = [(1.0 - abs(z[j]) ** 2) / abs(tg[j])
-                for j in range(n) if tg[j] != 0]
-        cap = min(caps)
-        lo = cap * 1e-3
-        ok, x, build = _brute_feasible(p, z, tg, kind, lo, degree,
-                                       starts(None), config, zeta,
-                                       zeta_cert)
+        # no competitor beats the per-component Schwarz-Pick cap
+        cap = min((1.0 - abs(z[j]) ** 2) / abs(tg[j])
+                  for j in range(n) if tg[j] != 0)
+        bad = cap * 1.001
+        probes = (cap * 1e-3,)
+        tol = config.brute_tol * cap
+    calls = 0
+    for good in probes:
+        witness = _brute_feasible(p, z, tg, kind, good, degree, starts(None),
+                                  config, zeta, zeta_cert)
         calls += 1
-        if not ok:
-            raise BruteForceError(
-                f"no feasible competitor disc at degree {degree}")
-        coeffs, beta, supu = certify(build, x)
-        if supu > 0.0:
-            raise BruteForceError(
-                f"no certifiable competitor disc at degree {degree}")
-        witness, warm = (coeffs, beta, supu), x
-        hi = cap * 1.001
-        while hi - lo > config.brute_tol * cap:
-            mid = 0.5 * (hi + lo)
-            ok, x, build = _brute_feasible(p, z, tg, kind, mid, degree,
-                                           starts(warm), config, zeta,
-                                           zeta_cert)
-            calls += 1
-            levels += 1
-            if ok:
-                coeffs, beta, supu = certify(build, x)
-                if supu <= 0.0:
-                    lo, witness, warm = mid, (coeffs, beta, supu), x
-                    continue
-            hi = mid
-        coeffs, beta, supu = witness
-        value = lo
+        if witness is not None:
+            break
+    else:
+        raise BruteForceError(f"no feasible competitor disc at degree {degree}")
+    levels = 0
+    while abs(good - bad) > tol:
+        mid = 0.5 * (good + bad)
+        found = _brute_feasible(p, z, tg, kind, mid, degree,
+                                starts(witness[3]), config, zeta, zeta_cert)
+        calls += 1
+        levels += 1
+        if found is None:
+            bad = mid
+        else:
+            good, witness = mid, found
+    coeffs, beta, sup_u, _ = witness
     return BruteForceResult(
         kind=kind,
-        value=float(value),
+        value=float(good),
         degree=degree,
         numerator=tuple(tuple(row) for row in coeffs),
         denominator_zeros=tuple(beta),
-        certified_sup_u=supu,
+        certified_sup_u=sup_u,
         bisection_levels=levels,
         feasibility_calls=calls,
     )

@@ -13,7 +13,7 @@ from ellipsogeo import (
     fourier_coefficients,
     outer_from_log_modulus,
 )
-from ellipsogeo import extremal_map as em
+from ellipsogeo import boundary, extremal_map as em
 
 M0 = 64
 ANGLES = 2 * np.pi * np.arange(M0) / M0
@@ -146,6 +146,40 @@ def test_fit_recovers_flat_family_exactly():
     assert np.max(np.abs(rep.params.a - a)) < 1e-8
     assert np.max(np.abs(rep.params.alpha)) < 1e-10
     assert np.max(np.abs(rep.params.alpha0)) < 1e-8
+
+
+def _flat_fit_input():
+    a = np.array([np.sqrt(0.5), 0.5 ** 0.25], dtype=complex)
+    params = em.ExtremalMapParams(
+        m=1, n=2, a=a, alpha0=np.array([0j]),
+        alpha=np.zeros((1, 2), dtype=complex), r=np.ones((1, 2), dtype=int))
+    E = Ellipsoid((1.0, 2.0))
+    return em.boundary_trace(params, E, 64), ((0.0,), (0.0,)), E, 1
+
+
+def test_fit_skips_a_start_least_squares_rejects(monkeypatch):
+    real = boundary.least_squares
+    calls = []
+
+    def first_start_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("Residuals are not finite in the initial point.")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "least_squares", first_start_fails)
+    rep = fit_extremal_family(*_flat_fit_input())
+    assert len(calls) >= 2
+    assert rep.in_family
+
+
+def test_fit_propagates_unexpected_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a bad start")
+
+    monkeypatch.setattr(boundary, "least_squares", broken)
+    with pytest.raises(RuntimeError, match="not a bad start"):
+        fit_extremal_family(*_flat_fit_input())
 
 
 @pytest.mark.parametrize("n,m,seed", [(1, 1, 0), (2, 1, 1), (2, 2, 2),

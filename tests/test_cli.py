@@ -155,6 +155,30 @@ def test_plot_data_emits_three_files(tmp_path):
         assert abs(float(line.split(",")[2])) < 1e-12
 
 
+def test_eval_boundary_matches_plot_data(tmp_path):
+    inp = tmp_path / "bundle.json"
+    write_json(inp, flat_bundle())
+    proc = run_cli("eval", "--input", str(inp), "--boundary", "--grid", "32")
+    assert proc.returncode == 0, proc.stderr
+    outdir = tmp_path / "plots"
+    assert run_cli("plot-data", "--input", str(inp), "--output", str(outdir),
+                   "--grid", "32").returncode == 0
+    assert proc.stdout == (outdir / "boundary.csv").read_text()
+
+
+def test_oracle_mobius_point_direction(tmp_path):
+    inp = tmp_path / "prob.json"
+    write_json(inp, {
+        "kind": "mobius",
+        "ellipsoid": {"p": [1.0]},
+        "point_direction": {"z": [[0.3, 0.4]], "X": [[0.0, 2.0]]},
+    })
+    proc = run_cli("oracle", "--input", str(inp))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == \
+        pytest.approx((1 - 0.25) / 2.0, abs=1e-15)
+
+
 def test_oracle_kinds(tmp_path):
     inp = tmp_path / "prob.json"
     write_json(inp, {

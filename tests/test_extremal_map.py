@@ -208,6 +208,13 @@ def test_params_json_round_trip():
     assert np.array_equal(back.r, params.r)
 
 
+def test_params_json_rejects_empty_band():
+    obj = em.params_to_json(flat_params())
+    obj.update(m=0, alpha0=[], alpha=[], r=[])
+    with pytest.raises(ParameterError):
+        em.params_from_json(obj)
+
+
 def test_constraint_residual_band_permutation_invariant():
     # the tied product is symmetric in the band index
     rng = np.random.default_rng(9)

@@ -247,6 +247,18 @@ def test_mobius_oracle_rejects_higher_dimension():
         mobius_oracle(TwoPointProblem((0, 0), (0.5, 0.1)))
 
 
+def test_mobius_oracle_rejects_point_outside_disc():
+    with pytest.raises(ValueError):
+        mobius_oracle(PointDirectionProblem((1.0,), (0.5,)))
+
+
+def test_oracle_and_competitor_reject_non_problems():
+    with pytest.raises(TypeError):
+        mobius_oracle((0.2, 0.5))
+    with pytest.raises(TypeError):
+        brute_force_disc(Ellipsoid((1.0,)), (0.2, 0.5), 2)
+
+
 def test_ball_oracle_values():
     E = Ellipsoid((1.0, 1.0))
     assert ball_oracle(E, TwoPointProblem((0, 0), (0.3, 0.4))) == \
@@ -287,6 +299,18 @@ def test_brute_frozen_regression_and_solver_consistency():
     sol = solve_two_point(E, prob)
     assert res.value >= sol.scalar - 1e-4
     assert_gates(sol)
+
+
+@pytest.mark.parametrize("problem,value,levels,calls", [
+    (PointDirectionProblem((0.2,), (0.5j,)), 1.9199983081054683, 21, 22),
+    (TwoPointProblem((0.2,), (0.5j,)), 0.5358444797661603, 20, 21),
+])
+def test_brute_bisection_counts_pinned(problem, value, levels, calls):
+    # one bisection serves both kinds: t moves up, sigma moves down
+    res = brute_force_disc(Ellipsoid((1.0,)), problem, 2)
+    assert (res.bisection_levels, res.feasibility_calls) == (levels, calls)
+    assert abs(res.value - value) < 1e-12
+    assert res.certified_sup_u <= 0.0
 
 
 def test_brute_rejects_degree_below_one():
