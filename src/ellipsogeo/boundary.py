@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ellipsoid import Ellipsoid
 from . import extremal_map
@@ -211,6 +210,18 @@ class FamilyFitReport:
     triples: tuple[FactorizationTriple, ...]
     masked: int
     tol: float
+
+
+def least_squares(*args, **kwargs):
+    """`scipy.optimize.least_squares`, imported on the first call.
+
+    Importing scipy.optimize costs most of a CLI process's start-up and
+    only the membership fit needs it.  The fit calls it through this
+    module attribute, so a test or a tracer can substitute
+    `boundary.least_squares`.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+    return scipy_least_squares(*args, **kwargs)
 
 
 def _logmod_model(x, pinned, free_counts, p, m, zeta, masks):

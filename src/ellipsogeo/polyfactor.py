@@ -218,6 +218,13 @@ def _pair_attempt(roots, m, n_zero, collar, tol, c, vals, grid):
     return best, None
 
 
+# re-expansion error, relative to the largest coefficient, up to which a
+# factorization attempt counts as exact; correct factorizations of
+# products with a doubled circle zero re-expand to between about 1e-16
+# and a few 1e-12
+_ROUNDOFF = 1e-12
+
+
 def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
     """Recover (r, {a_k}) from a circle-nonnegative self-inversive polynomial.
 
@@ -226,8 +233,10 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
     Newton step, then pair reflected roots across the circle and average
     even-multiplicity circle clusters.  Computed copies of a k-fold
     circle root scatter by roughly eps^(1/k), so the on-circle collar is
-    widened progressively and each attempt is verified by re-expansion;
-    the tightest collar that re-expands to the input wins.
+    widened progressively and each attempt is verified by re-expansion.
+    The attempt that re-expands closest to the input wins, except that
+    among attempts exact to roundoff the one with the fewest distinct
+    zeros wins.
 
     Raises FactorError when the polynomial is not self-inversive, takes
     negative values on the circle, or its roots cannot be paired within
@@ -269,7 +278,7 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
     roots = np.roots(work[::-1])
     roots = _polish_roots(work[::-1].copy(), roots)
 
-    best = None
+    attempts = []
     last_msg = "no classification attempted"
     # widest rung sized for an m-fold circle zero, which is a 2m-fold
     # polynomial root scattering like eps^(1/2m) under np.roots; no
@@ -281,11 +290,21 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
         if attempt is None:
             last_msg = msg
             continue
-        if best is None or attempt[0] < best[0]:
-            best = attempt
-    if best is None:
+        attempts.append(attempt)
+    if not attempts:
         raise FactorError(f"root pairing failed: {last_msg}")
-    err, r, zeros = best
+
+    def rank(attempt):
+        # a narrow collar can split the scattered copies of a multiple
+        # circle zero into distinct zeros that still re-expand to
+        # roundoff; among attempts at roundoff, the one that merged them
+        # (fewest distinct zeros) is the factorization
+        err, _, zeros = attempt
+        if err <= _ROUNDOFF * scale:
+            return (0, len(set(zeros)), err)
+        return (1, 0, err)
+
+    err, r, zeros = min(attempts, key=rank)
     if err > max(tol, 1e-7) * scale * 10:
         raise FactorError(
             f"re-expansion residual {err:.3e} exceeds tolerance "

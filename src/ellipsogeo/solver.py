@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ellipsoid import Ellipsoid, PointClass
 from . import extremal_map
@@ -707,6 +706,17 @@ class BruteForceResult:
 
 
 _SQUASH = 0.95
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call.
+
+    Importing scipy.optimize costs most of a CLI process's start-up and
+    only the competitor needs it.  The competitor calls it through this
+    module attribute, so a test or a tracer can substitute `solver.minimize`.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):

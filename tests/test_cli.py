@@ -261,3 +261,16 @@ def test_outputs_are_deterministic(tmp_path):
     assert run_cli("solve", "--input", str(inp), "--output",
                    str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is most of a CLI process's start-up; only `fit` and
+    # a `brute` oracle need it, and they load it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ellipsogeo, ellipsogeo.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

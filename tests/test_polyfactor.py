@@ -128,6 +128,19 @@ def test_factor_close_circle_zeros_stay_distinct():
     assert zero_mismatch(got.zeros, zeros) < 1e-8
 
 
+def test_factor_merges_split_copies_of_a_doubled_circle_zero():
+    # np.roots scatters the four copies of u by about 1.6e-4; the narrow
+    # collars split them into two zeros that re-expand as well, to
+    # roundoff, as the merged pair does
+    u = 0.3460791796759518 + 0.9382053087649953j
+    zeros = (u, u, -0.11881933699496484 - 0.20599002903442262j,
+             0.4763337936585276 - 0.4457091249551944j)
+    got = factor(SelfInversivePoly(
+        tuple(expand_circle_product(1.073836843735142, zeros))))
+    assert abs(got.scale - 1.073836843735142) < 1e-8
+    assert zero_mismatch(got.zeros, zeros) < 1e-8
+
+
 def test_factor_interior_zero_near_circle():
     zeros = (0.995 * np.exp(1j * 0.7),)
     got = factor(SelfInversivePoly(tuple(expand_circle_product(1.0, zeros))))

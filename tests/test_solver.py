@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from ellipsogeo import solver
 from ellipsogeo.ellipsoid import Ellipsoid
 from ellipsogeo.extremal_map import evaluate, derivative
 from ellipsogeo.solver import (
@@ -311,6 +313,31 @@ def test_brute_bisection_counts_pinned(problem, value, levels, calls):
     assert (res.bisection_levels, res.feasibility_calls) == (levels, calls)
     assert abs(res.value - value) < 1e-12
     assert res.certified_sup_u <= 0.0
+
+
+def test_brute_runs_every_lbfgs_through_solver_minimize(monkeypatch):
+    # the benchmark tracer and tests substitute `solver.minimize`, so every
+    # L-BFGS run must resolve that name at call time
+    E, prob = Ellipsoid((1.0,)), TwoPointProblem((0.2,), (0.5j,))
+    plain = brute_force_disc(E, prob, 1)
+    real_scipy = scipy.optimize.minimize
+    forwarded = solver.minimize
+    patched, reached = [], []
+
+    def counting_scipy(*args, **kwargs):
+        reached.append(kwargs.get("method"))
+        return real_scipy(*args, **kwargs)
+
+    def counting(*args, **kwargs):
+        patched.append(kwargs.get("method"))
+        return forwarded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting_scipy)
+    monkeypatch.setattr(solver, "minimize", counting)
+    res = brute_force_disc(E, prob, 1)
+    assert patched and patched == reached
+    assert set(patched) == {"L-BFGS-B"}
+    assert res == plain
 
 
 def test_brute_rejects_degree_below_one():
