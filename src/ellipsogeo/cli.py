@@ -343,8 +343,6 @@ def cmd_oracle(args) -> int:
                      "params": extremal_map.params_to_json(params)})
         return 0
     if kind == "ball":
-        if not isinstance(problem, solver.TwoPointProblem):
-            raise _UsageError("ball oracle handles two_point problems only")
         value = solver.ball_oracle(ellipsoid, problem)
         _emit(args, {"command": "oracle", "config": config, "status": "ok",
                      "value": value})

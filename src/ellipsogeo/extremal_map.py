@@ -58,6 +58,9 @@ class ParameterError(ValueError):
     """Parameter set violates the structural requirements of the family."""
 
 
+_BOX_SLACK = 1e-12   # roundoff allowed outside the closed unit disc
+
+
 @dataclass(frozen=True)
 class ExtremalMapParams:
     """Parameter set (m, n, a, alpha0, alpha, r) of one family member.
@@ -109,15 +112,15 @@ class ExtremalMapParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "r", r)
 
-    def check_box(self, slack: float = 1e-12) -> None:
-        """Structural validity: a nonzero, zeros in the closed disc,
-        strict disc where a full circle factor is switched on."""
+    def check_box(self) -> None:
+        """Structural validity: a nonzero, zeros in the closed disc (up to
+        `_BOX_SLACK`), strict disc where a full circle factor is on."""
         if np.any(self.a == 0):
             j = int(np.flatnonzero(self.a == 0)[0])
             raise ParameterError(f"a_{j} is zero")
-        if np.any(np.abs(self.alpha) > 1 + slack):
+        if np.any(np.abs(self.alpha) > 1 + _BOX_SLACK):
             raise ParameterError("alpha entry outside the closed unit disc")
-        if np.any(np.abs(self.alpha0) > 1 + slack):
+        if np.any(np.abs(self.alpha0) > 1 + _BOX_SLACK):
             raise ParameterError("alpha0 entry outside the closed unit disc")
         bad = (self.r == 1) & (np.abs(self.alpha) >= 1.0)
         if np.any(bad):
@@ -180,39 +183,37 @@ def _eval_components(params: ExtremalMapParams, exponents, lam: np.ndarray,
     return (out, dout) if with_derivative else out
 
 
+def _interior(params: ExtremalMapParams, ellipsoid: Ellipsoid, lam,
+              with_derivative: bool):
+    """Values or derivatives at interior points, shaped like lam."""
+    _check_pair(params, ellipsoid)
+    params.check_box()
+    lam_arr = np.asarray(lam, dtype=complex)
+    flat = np.atleast_1d(lam_arr).ravel()
+    if np.any(np.abs(flat) >= 1.0):
+        raise ValueError("derivative requires |lam| < 1" if with_derivative
+                         else "evaluate requires |lam| < 1; use "
+                         "boundary_trace for circle values")
+    vals = _eval_components(params, ellipsoid.exponents, flat,
+                            with_derivative)
+    if with_derivative:
+        vals = vals[1]
+    if lam_arr.ndim == 0:
+        return vals[:, 0]
+    return vals.reshape((params.n,) + lam_arr.shape)
+
+
 def evaluate(params: ExtremalMapParams, ellipsoid: Ellipsoid, lam):
     """Map values at interior points lam (scalar or array), |lam| < 1.
 
     Returns shape (n,) for scalar lam, (n, L) for an array of L points.
     """
-    _check_pair(params, ellipsoid)
-    params.check_box()
-    lam_arr = np.asarray(lam, dtype=complex)
-    scalar = lam_arr.ndim == 0
-    flat = np.atleast_1d(lam_arr).ravel()
-    if np.any(np.abs(flat) >= 1.0):
-        raise ValueError("evaluate requires |lam| < 1; use boundary_trace "
-                         "for circle values")
-    vals = _eval_components(params, ellipsoid.exponents, flat)
-    if scalar:
-        return vals[:, 0]
-    return vals.reshape((params.n,) + lam_arr.shape)
+    return _interior(params, ellipsoid, lam, with_derivative=False)
 
 
 def derivative(params: ExtremalMapParams, ellipsoid: Ellipsoid, lam):
     """Complex derivative of each component at interior points lam."""
-    _check_pair(params, ellipsoid)
-    params.check_box()
-    lam_arr = np.asarray(lam, dtype=complex)
-    scalar = lam_arr.ndim == 0
-    flat = np.atleast_1d(lam_arr).ravel()
-    if np.any(np.abs(flat) >= 1.0):
-        raise ValueError("derivative requires |lam| < 1")
-    _, dvals = _eval_components(params, ellipsoid.exponents, flat,
-                                with_derivative=True)
-    if scalar:
-        return dvals[:, 0]
-    return dvals.reshape((params.n,) + lam_arr.shape)
+    return _interior(params, ellipsoid, lam, with_derivative=True)
 
 
 def boundary_trace(params: ExtremalMapParams, ellipsoid: Ellipsoid,
@@ -287,29 +288,29 @@ def component_zeros(params: ExtremalMapParams) -> tuple[tuple[complex, ...], ...
     return tuple(out)
 
 
-def random_valid_params(
-    rng: np.random.Generator,
-    exponents,
-    m: int,
-    alpha_max: float = 0.9,
-    residual_cap: float = 5e-13,
-    max_tries: int = 60,
-) -> ExtremalMapParams:
+_ALPHA_MAX = 0.9          # largest modulus of a drawn zero
+_RESIDUAL_CAP = 5e-13     # tying residual a drawn member must reach
+_MAX_TRIES = 60
+
+
+def random_valid_params(rng: np.random.Generator, exponents,
+                        m: int) -> ExtremalMapParams:
     """Draw a parameter set satisfying the tying identity to near machine level.
 
-    Draws the per-component zeros and positive weights freely, expands
-    the weighted left side of the identity (automatically nonnegative on
-    the circle), and factors it to obtain the tied zeros and the scale
-    that normalizes the weights.  Occasional ill-conditioned draws are
-    rejected and retried until the verified residual is below
-    `residual_cap`.
+    Draws the per-component zeros (modulus below `_ALPHA_MAX`) and
+    positive weights freely, expands the weighted left side of the
+    identity (automatically nonnegative on the circle), and factors it to
+    obtain the tied zeros and the scale that normalizes the weights.
+    Occasional ill-conditioned draws are rejected and retried, at most
+    `_MAX_TRIES` times, until the verified residual is below
+    `_RESIDUAL_CAP`.
     """
     ellipsoid = Ellipsoid(tuple(exponents))
     n = ellipsoid.dim
     p = np.asarray(ellipsoid.exponents)
     last = None
-    for _ in range(max_tries):
-        radius = rng.uniform(0.0, alpha_max, size=(m, n))
+    for _ in range(_MAX_TRIES):
+        radius = rng.uniform(0.0, _ALPHA_MAX, size=(m, n))
         theta = rng.uniform(0.0, 2 * np.pi, size=(m, n))
         alpha = radius * np.exp(1j * theta)
         r = rng.integers(0, 2, size=(m, n))
@@ -334,14 +335,14 @@ def random_valid_params(
             alpha=alpha, r=r,
         )
         res = constraint_residual(params, ellipsoid)
-        if res <= residual_cap:
+        if res <= _RESIDUAL_CAP:
             return params
         if last is None or res < last[0]:
             last = (res, params)
     if last is not None:
         raise RuntimeError(
-            f"generator failed to reach residual {residual_cap:.1e} in "
-            f"{max_tries} tries (best {last[0]:.3e})"
+            f"generator failed to reach residual {_RESIDUAL_CAP:.1e} in "
+            f"{_MAX_TRIES} tries (best {last[0]:.3e})"
         )
     raise RuntimeError("generator failed: no factorable draw")
 

@@ -221,6 +221,27 @@ def _unit(n: int, j: int, value: complex, extra: dict | None = None) -> tuple:
     return tuple(tables)
 
 
+def _pin_and_read(z, target, reader: dict, nu: float,
+                  sigma: complex) -> ProblemSpec:
+    """Re/Im h_j(0) pinned to z, then Re/Im of the `reader` Laurent
+    table against target, each over j; band degree 1 with divisor sigma."""
+    n = z.size
+    functionals = []
+    targets = []
+    for value, table, tgt in (
+        (1.0 + 0j, None, z.real),
+        (-1j, None, z.imag),
+        (1.0 + 0j, reader, target.real),
+        (-1j, reader, target.imag),
+    ):
+        for j in range(n):
+            functionals.append(
+                BoundaryFunctional(_unit(n, j, value, table), nu))
+            targets.append(float(tgt[j]))
+    return ProblemSpec(tuple(functionals), tuple(targets),
+                       band_degree=1, sigma=(sigma,))
+
+
 def build_two_point_problem(z, w, sigma: float) -> ProblemSpec:
     """Functionals pinning h(0) = z and reading Re/Im h(sigma) toward w.
 
@@ -235,23 +256,8 @@ def build_two_point_problem(z, w, sigma: float) -> ProblemSpec:
         raise ValueError("z and w must be distinct")
     if not (0.0 < sigma < 1.0):
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    n = z.size
     nu = (1.0 + sigma) / 2.0
-    pole = _pole_table(sigma, nu)
-    functionals = []
-    targets = []
-    for value, reader, tgt in (
-        (1.0 + 0j, None, z.real),
-        (-1j, None, z.imag),
-        (1.0 + 0j, pole, w.real),
-        (-1j, pole, w.imag),
-    ):
-        for j in range(n):
-            functionals.append(
-                BoundaryFunctional(_unit(n, j, value, reader), nu))
-            targets.append(float(tgt[j]))
-    return ProblemSpec(tuple(functionals), tuple(targets),
-                       band_degree=1, sigma=(complex(sigma),))
+    return _pin_and_read(z, w, _pole_table(sigma, nu), nu, complex(sigma))
 
 
 def build_point_direction_problem(z, X) -> ProblemSpec:
@@ -266,23 +272,7 @@ def build_point_direction_problem(z, X) -> ProblemSpec:
         raise ValueError("z and X must have the same length")
     if np.all(X == 0):
         raise ValueError("direction X must be nonzero")
-    n = z.size
-    nu = 0.5
-    deriv = {-1: 1.0 + 0j}
-    functionals = []
-    targets = []
-    for value, reader, tgt in (
-        (1.0 + 0j, None, z.real),
-        (-1j, None, z.imag),
-        (1.0 + 0j, deriv, X.real),
-        (-1j, deriv, X.imag),
-    ):
-        for j in range(n):
-            functionals.append(
-                BoundaryFunctional(_unit(n, j, value, reader), nu))
-            targets.append(float(tgt[j]))
-    return ProblemSpec(tuple(functionals), tuple(targets),
-                       band_degree=1, sigma=(0j,))
+    return _pin_and_read(z, X, {-1: 1.0 + 0j}, 0.5, 0j)
 
 
 def independence_rank(spec: ProblemSpec, trial_maps=None,

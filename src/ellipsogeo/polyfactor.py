@@ -313,11 +313,10 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
     return CircleRationalForm(r, tuple(zeros))
 
 
-def reconstruct_from_boundary(
-    samples,
-    sigma,
-    tol: float = 1e-8,
-) -> CircleRationalForm:
+_BAND_TOL = 1e-8   # out-of-band coefficients allowed, relative to the scale
+
+
+def reconstruct_from_boundary(samples, sigma) -> CircleRationalForm:
     """Rebuild (r, {a_k}) from circle samples of P(zeta) / prod(1 - conj(s) zeta).
 
     `samples` holds values on the uniform M-point circle grid
@@ -327,8 +326,8 @@ def reconstruct_from_boundary(
     circle after dividing by zeta^m.  Multiplying the samples by the
     denominator and taking an FFT exposes the coefficient band 0..2m;
     everything outside that band (negative frequencies included, which
-    alias to the top of the spectrum) must vanish within tol relative to
-    the coefficient scale, otherwise the data is rejected.
+    alias to the top of the spectrum) must vanish within `_BAND_TOL`
+    relative to the coefficient scale, otherwise the data is rejected.
     """
     v = np.asarray(samples, dtype=complex)
     if v.ndim != 1:
@@ -354,12 +353,12 @@ def reconstruct_from_boundary(
     out_of_band = coef[2 * m + 1:]
     if out_of_band.size:
         worst = float(np.max(np.abs(out_of_band)))
-        if worst > tol * scale:
+        if worst > _BAND_TOL * scale:
             raise FactorError(
                 f"out-of-band coefficient {worst:.3e} exceeds tolerance; "
                 "data is not a band-limited circle-nonnegative form"
             )
 
-    poly = SelfInversivePoly(tuple(band), tol=max(tol, 1e-8))
-    form = factor(poly, tol=max(tol, 1e-7))
+    poly = SelfInversivePoly(tuple(band), tol=1e-8)
+    form = factor(poly, tol=1e-7)
     return CircleRationalForm(form.scale, form.zeros, tuple(sig))

@@ -98,28 +98,18 @@ class PointDirectionProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the Newton search and the brute-force competitor.
+    """The seed, the start count and the post-hoc validation gates.
 
-    Tolerances are post-hoc validation gates, recomputed on assembled
-    parameter sets; the Newton iteration itself always aims at
-    newton_tol in the max norm.
+    Tolerances are gates recomputed on assembled parameter sets; the
+    Newton iteration itself always aims at `_NEWTON_TOL` in the max norm.
     """
 
     seed: int = 0
     starts: int = 8                  # random perturbations per flag pattern
-    newton_max_iter: int = 70
-    newton_tol: float = 1e-12
     interpolation_tol: float = 1e-9
     constraint_tol: float = 1e-9
     boundary_tol: float = 1e-8
     boundary_grid: int = 512
-    max_patterns_dim: int = 6        # refuse 2^n enumeration beyond this n
-    brute_grid: int = 256
-    brute_cert_grid: int = 8192
-    brute_margin: float = 1e-6
-    brute_tol: float = 5e-7
-    brute_starts: int = 3
-    brute_maxiter: int = 400
 
 
 @dataclass(frozen=True)
@@ -175,13 +165,6 @@ class SolveResult:
     diagnostics: SolveDiagnostics
 
 
-def _interior_point(ellipsoid: Ellipsoid, v, name: str) -> None:
-    cls = ellipsoid.classify(np.asarray(v, dtype=complex), tol=1e-12)
-    if cls.kind is not PointClass.INSIDE:
-        raise ValueError(f"{name} is not strictly inside the ellipsoid "
-                         f"(u = {cls.value:.3e})")
-
-
 def _kind(problem) -> tuple[str, tuple[complex, ...]]:
     """The kind of a problem and its second datum (w or X)."""
     if isinstance(problem, TwoPointProblem):
@@ -191,6 +174,60 @@ def _kind(problem) -> tuple[str, tuple[complex, ...]]:
     raise TypeError(f"unsupported problem type {type(problem).__name__}")
 
 
+@dataclass(frozen=True)
+class _Intake:
+    """A checked problem; the arrays and `pattern` are on `active` only."""
+
+    kind: str
+    z: np.ndarray
+    second: np.ndarray                  # w or X
+    p: np.ndarray
+    pattern: tuple[int, ...] | None     # forced flag pattern, if any
+    active: tuple[int, ...]
+    dropped: tuple[int, ...]
+
+
+def _intake(ellipsoid: Ellipsoid, problem, kind: str | None = None,
+            r_pattern: str | None = None) -> _Intake:
+    """Check a problem against the ellipsoid and drop vanishing components.
+
+    Refuses a problem of another kind than `kind` (when given), a
+    dimension mismatch, a base point (for two-point problems also w) not
+    strictly inside E(p), and a forced flag pattern that is not one flag
+    0 or 1 per component.  A component with z_j = 0 and second datum 0 is
+    identically zero on every extremal disc and is dropped, which is the
+    paper's dimension reduction; this is the one place that decides it.
+    The problem types guarantee that some component remains.
+    """
+    got, second = _kind(problem)
+    if kind is not None and got != kind:
+        raise TypeError(f"expected a {kind} problem, got "
+                        f"{type(problem).__name__}")
+    z = np.asarray(problem.z, dtype=complex)
+    tg = np.asarray(second, dtype=complex)
+    if z.size != ellipsoid.dim:
+        raise ValueError("problem dimension does not match the ellipsoid")
+    points = (("z", z), ("w", tg)) if got == "two-point" else (("z", z),)
+    for name, v in points:
+        cls = ellipsoid.classify(v, tol=1e-12)
+        if cls.kind is not PointClass.INSIDE:
+            raise ValueError(f"{name} is not strictly inside the ellipsoid "
+                             f"(u = {cls.value:.3e})")
+    pattern = None
+    if r_pattern is not None:
+        pattern = tuple(int(c) for c in r_pattern)
+        if len(pattern) != z.size or any(c not in (0, 1) for c in pattern):
+            raise ValueError(f"bad flag pattern {pattern}")
+    active = [j for j in range(z.size) if not (z[j] == 0 and tg[j] == 0)]
+    return _Intake(
+        kind=got, z=z[active], second=tg[active],
+        p=np.asarray(ellipsoid.exponents)[active],
+        pattern=None if pattern is None else tuple(pattern[j] for j in active),
+        active=tuple(active),
+        dropped=tuple(j for j in range(z.size) if j not in active),
+    )
+
+
 def _mobius_sigma(a: complex, b: complex) -> float:
     return abs((b - a) / (1.0 - np.conj(a) * b))
 
@@ -198,8 +235,11 @@ def _mobius_sigma(a: complex, b: complex) -> float:
 # ---------------------------------------------------------------------------
 # damped Newton on a square real system
 
+_NEWTON_MAX_ITER = 70
+_NEWTON_TOL = 1e-12      # max-norm residual at which a start has converged
 
-def _damped_newton(F, jac, x0, guard, max_iter: int, tol: float):
+
+def _damped_newton(F, jac, x0, guard):
     """Newton with backtracking line search and a regularized fallback.
 
     F(x) returns the residual and the intermediate values from which
@@ -212,8 +252,8 @@ def _damped_newton(F, jac, x0, guard, max_iter: int, tol: float):
         return None, 0
     fx, parts = F(x)
     nrm = float(np.max(np.abs(fx)))
-    for it in range(max_iter):
-        if nrm < tol:
+    for it in range(_NEWTON_MAX_ITER):
+        if nrm < _NEWTON_TOL:
             return x, it
         J = jac(parts)
         step, *_ = np.linalg.lstsq(J, -fx, rcond=None)
@@ -224,7 +264,7 @@ def _damped_newton(F, jac, x0, guard, max_iter: int, tol: float):
             if guard(xn):
                 fn, pn = F(xn)
                 nn = float(np.max(np.abs(fn)))
-                if nn <= (1.0 - 1e-4 * t) * nrm or nn < tol:
+                if nn <= (1.0 - 1e-4 * t) * nrm or nn < _NEWTON_TOL:
                     accepted = True
                     break
             t *= 0.5
@@ -244,7 +284,7 @@ def _damped_newton(F, jac, x0, guard, max_iter: int, tol: float):
             if not accepted:
                 return None, it + 1
         x, fx, parts, nrm = xn, fn, pn, nn
-    return (x, max_iter) if nrm < tol else (None, max_iter)
+    return (x if nrm < _NEWTON_TOL else None), _NEWTON_MAX_ITER
 
 
 # ---------------------------------------------------------------------------
@@ -479,42 +519,27 @@ def _validate(params, ellipsoid, kind, z, target, scalar, config):
     return ok, report
 
 
-def _patterns(n, z, forced):
+def _patterns(z, forced):
     """Flag patterns to try; components pinned to zero at 0 need flag 1."""
-    if forced is not None:
-        pats = [tuple(int(c) for c in forced)]
-    else:
-        pats = list(itertools.product((1, 0), repeat=n))
-    out = []
-    for pat in pats:
-        if len(pat) != n or any(c not in (0, 1) for c in pat):
-            raise ValueError(f"bad flag pattern {pat}")
-        if any(z[j] == 0 and pat[j] == 0 for j in range(n)):
-            continue  # phi_j(0) = a_j != 0 cannot meet z_j = 0
-        out.append(pat)
-    return out
+    pats = ([forced] if forced is not None
+            else itertools.product((1, 0), repeat=z.size))
+    # phi_j(0) = a_j != 0 cannot meet z_j = 0
+    return [pat for pat in pats
+            if not any(z[j] == 0 and pat[j] == 0 for j in range(z.size))]
 
 
-def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
+_MAX_PATTERNS_DIM = 6    # refuse 2^n flag enumeration beyond this n
+
+
+def _solve_core(ellipsoid, data: _Intake, config):
     t_start = time.monotonic()
-    z_all = np.asarray(z_full, dtype=complex)
-    tg_all = np.asarray(target_full, dtype=complex)
-    drop = [j for j in range(z_all.size)
-            if z_all[j] == 0 and tg_all[j] == 0]
-    active = tuple(j for j in range(z_all.size) if j not in drop)
-    if not active:
-        raise ValueError("all components are identically zero")
-    if r_pattern is not None and len(drop) > 0:
-        r_pattern = "".join(r_pattern[j] for j in active)
-    z = z_all[list(active)]
-    tg = tg_all[list(active)]
-    p = np.asarray(ellipsoid.exponents)[list(active)]
+    kind, z, tg, p = data.kind, data.z, data.second, data.p
     sub = Ellipsoid(tuple(p))
     n = z.size
-    if n > config.max_patterns_dim:
+    if n > _MAX_PATTERNS_DIM:
         raise SolveError(
             f"flag enumeration over {n} components is too large "
-            f"(limit {config.max_patterns_dim})")
+            f"(limit {_MAX_PATTERNS_DIM})")
 
     # two-point minimizes sigma, point-direction maximizes t
     sign = 1.0 if kind == "two-point" else -1.0
@@ -523,7 +548,7 @@ def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
     guard = _make_guard(n, scalar_hi)
     best = None
     candidates = []
-    patterns = _patterns(n, z, r_pattern)
+    patterns = _patterns(z, data.pattern)
     if not patterns:
         raise SolveError("no admissible flag pattern "
                          "(zero components need flag 1)")
@@ -538,9 +563,7 @@ def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
         for trial in range(config.starts + 1):
             x0 = x_base if trial == 0 else _perturb(x_base, rng, n, scalar_hi)
             starts_tried += 1
-            x, iters = _damped_newton(F, jac, x0, guard,
-                                      config.newton_max_iter,
-                                      config.newton_tol)
+            x, iters = _damped_newton(F, jac, x0, guard)
             newton_iters += iters
             if x is None:
                 continue
@@ -588,8 +611,8 @@ def _solve_core(ellipsoid, kind, z_full, target_full, config, r_pattern):
         residuals=report,
         certified=ellipsoid.is_convex,
         label=label,
-        active=active,
-        dropped=tuple(drop),
+        active=data.active,
+        dropped=data.dropped,
         alternates=alternates,
         diagnostics=diag,
     )
@@ -599,25 +622,16 @@ def solve_two_point(ellipsoid: Ellipsoid, problem: TwoPointProblem,
                     config: SolverConfig = SolverConfig(),
                     r_pattern: str | None = None) -> SolveResult:
     """Smallest sigma in (0,1) with a family member phi(0) = z, phi(sigma) = w."""
-    z = np.asarray(problem.z, dtype=complex)
-    w = np.asarray(problem.w, dtype=complex)
-    if z.size != ellipsoid.dim:
-        raise ValueError("problem dimension does not match the ellipsoid")
-    _interior_point(ellipsoid, z, "z")
-    _interior_point(ellipsoid, w, "w")
-    return _solve_core(ellipsoid, "two-point", z, w, config, r_pattern)
+    data = _intake(ellipsoid, problem, "two-point", r_pattern)
+    return _solve_core(ellipsoid, data, config)
 
 
 def solve_point_direction(ellipsoid: Ellipsoid, problem: PointDirectionProblem,
                           config: SolverConfig = SolverConfig(),
                           r_pattern: str | None = None) -> SolveResult:
     """Largest t > 0 with a family member phi(0) = z, phi'(0) = t X."""
-    z = np.asarray(problem.z, dtype=complex)
-    X = np.asarray(problem.X, dtype=complex)
-    if z.size != ellipsoid.dim:
-        raise ValueError("problem dimension does not match the ellipsoid")
-    _interior_point(ellipsoid, z, "z")
-    return _solve_core(ellipsoid, "point-direction", z, X, config, r_pattern)
+    data = _intake(ellipsoid, problem, "point-direction", r_pattern)
+    return _solve_core(ellipsoid, data, config)
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +677,13 @@ def ball_oracle(ellipsoid: Ellipsoid, problem: TwoPointProblem) -> float:
     Moves z to the origin by the standard ball automorphism and returns
     the norm of the image of w, which is the extremal sigma.
     """
+    if not isinstance(problem, TwoPointProblem):
+        raise ValueError("ball oracle handles two_point problems only")
     if any(p != 1.0 for p in ellipsoid.exponents):
         raise ValueError("ball oracle requires all exponents equal to 1")
+    _intake(ellipsoid, problem)   # checks only: the formula needs no reduction
     z = np.asarray(problem.z, dtype=complex)
     w = np.asarray(problem.w, dtype=complex)
-    if z.size != ellipsoid.dim:
-        raise ValueError("problem dimension does not match the ellipsoid")
-    _interior_point(ellipsoid, z, "z")
-    _interior_point(ellipsoid, w, "w")
     if np.all(z == 0):
         return float(np.linalg.norm(w))
     zz = float(np.vdot(z, z).real)
@@ -706,6 +719,12 @@ class BruteForceResult:
 
 
 _SQUASH = 0.95
+_BRUTE_GRID = 256          # coarse circle grid of the hinge penalty
+_BRUTE_CERT_GRID = 8192    # certification grid: sup u <= 0 on it accepts
+_BRUTE_MARGIN = 1e-6       # hinge offset: u + margin <= 0 on the grids
+_BRUTE_TOL = 5e-7          # bisection width (times the cap for t)
+_BRUTE_STARTS = 3          # random L-BFGS starts per level, besides 0
+_BRUTE_MAXITER = 400       # L-BFGS iterations per run
 
 
 def minimize(*args, **kwargs):
@@ -822,8 +841,7 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
     return cost_grad, build
 
 
-def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, config, zeta,
-                    zeta_cert):
+def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, zeta, zeta_cert):
     """Certified competitor at a fixed scalar: (coeffs, beta, sup_u, x) or None.
 
     A multistart hinge-penalty search on the coarse grid `zeta` comes
@@ -836,8 +854,8 @@ def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, config, zeta,
     by orders of magnitude.
     """
     cost_grad, _ = _brute_objective(p, z, tg, kind, scalar, degree,
-                                    config.brute_margin, zeta)
-    opts = {"maxiter": config.brute_maxiter, "ftol": 1e-30, "gtol": 1e-30}
+                                    _BRUTE_MARGIN, zeta)
+    opts = {"maxiter": _BRUTE_MAXITER, "ftol": 1e-30, "gtol": 1e-30}
     best = None
     for x0 in x0_list:
         res = minimize(cost_grad, x0, method="L-BFGS-B", jac=True,
@@ -849,7 +867,7 @@ def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, config, zeta,
     if not best.fun < 1e-20:
         return None
     fine_cg, fine_build = _brute_objective(p, z, tg, kind, scalar, degree,
-                                           config.brute_margin, zeta_cert)
+                                           _BRUTE_MARGIN, zeta_cert)
     res = minimize(fine_cg, best.x, method="L-BFGS-B", jac=True,
                    options=opts)
     if not res.fun < 1e-20:
@@ -881,21 +899,12 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    kind, second = _kind(problem)
-    z_all = np.asarray(problem.z, dtype=complex)
-    tg_all = np.asarray(second, dtype=complex)
-    if z_all.size != ellipsoid.dim:
-        raise ValueError("problem dimension does not match the ellipsoid")
-    _interior_point(ellipsoid, z_all, "z")
-    keep = [j for j in range(z_all.size)
-            if not (z_all[j] == 0 and tg_all[j] == 0)]
-    z = z_all[keep]
-    tg = tg_all[keep]
-    p = np.asarray(ellipsoid.exponents)[keep]
+    data = _intake(ellipsoid, problem)
+    kind, z, tg, p = data.kind, data.z, data.second, data.p
     n = z.size
-    zeta = np.exp(2j * np.pi * np.arange(config.brute_grid) / config.brute_grid)
-    zeta_cert = np.exp(2j * np.pi * np.arange(config.brute_cert_grid)
-                       / config.brute_cert_grid)
+    zeta = np.exp(2j * np.pi * np.arange(_BRUTE_GRID) / _BRUTE_GRID)
+    zeta_cert = np.exp(2j * np.pi * np.arange(_BRUTE_CERT_GRID)
+                       / _BRUTE_CERT_GRID)
     rng = np.random.default_rng(config.seed + 77)
     nfree = 2 * n * (degree - 1) + 2 * degree
 
@@ -904,7 +913,7 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
         if warm is not None:
             xs.append(warm)
         xs.append(np.zeros(nfree))
-        while len(xs) < config.brute_starts + 1:
+        while len(xs) < _BRUTE_STARTS + 1:
             xs.append(0.3 * rng.standard_normal(nfree))
         return xs
 
@@ -913,18 +922,18 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
         bad = max(1e-6, 0.999 * max(_mobius_sigma(z[j], tg[j])
                                     for j in range(n)))
         probes = (min(max(bad * 1.01, 0.99), 0.9995), 0.995, 0.999)
-        tol = config.brute_tol
+        tol = _BRUTE_TOL
     else:
         # no competitor beats the per-component Schwarz-Pick cap
         cap = min((1.0 - abs(z[j]) ** 2) / abs(tg[j])
                   for j in range(n) if tg[j] != 0)
         bad = cap * 1.001
         probes = (cap * 1e-3,)
-        tol = config.brute_tol * cap
+        tol = _BRUTE_TOL * cap
     calls = 0
     for good in probes:
         witness = _brute_feasible(p, z, tg, kind, good, degree, starts(None),
-                                  config, zeta, zeta_cert)
+                                  zeta, zeta_cert)
         calls += 1
         if witness is not None:
             break
@@ -934,7 +943,7 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
     while abs(good - bad) > tol:
         mid = 0.5 * (good + bad)
         found = _brute_feasible(p, z, tg, kind, mid, degree,
-                                starts(witness[3]), config, zeta, zeta_cert)
+                                starts(witness[3]), zeta, zeta_cert)
         calls += 1
         levels += 1
         if found is None:

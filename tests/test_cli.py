@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ellipsogeo import cli
 from ellipsogeo.extremal_map import params_to_json
 import ellipsogeo.extremal_map as em
 from ellipsogeo.ellipsoid import Ellipsoid
@@ -245,6 +246,19 @@ def test_usage_errors_exit_one(tmp_path):
     # structurally valid JSON with the wrong shape is still a usage error
     write_json(bad, {"ellipsoid": {"p": [1.0]}})
     assert run_cli("solve", "--input", str(bad)).returncode == 1
+
+
+def test_solve_short_flag_pattern_is_an_input_error(tmp_path, capsys):
+    # one component is dropped, but the pattern must still cover both
+    inp = tmp_path / "prob.json"
+    write_json(inp, {
+        "ellipsoid": {"p": [1.0, 2.0]},
+        "two_point": {"z": [[0.0, 0.0], [0.1, 0.0]],
+                      "w": [[0.0, 0.0], [0.3, 0.0]]},
+    })
+    code = cli.main(["solve", "--input", str(inp), "--r-pattern", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bad flag pattern")
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -1,0 +1,30 @@
+"""Smoke runs of the scripts in scripts/ as fresh processes."""
+
+import os
+import subprocess
+import sys
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts")
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *argv],
+        capture_output=True, text=True)
+
+
+def test_demo_geodesics_writes_both_csv_files(tmp_path):
+    proc = run_script("demo_geodesics.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["boundary.csv", "segment.csv"]
+
+
+def test_competitor_degree_scan_prints_one_row_per_degree():
+    proc = run_script("competitor_degree_scan.py", "--max-degree", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines)
+                  if line.split()[:1] == ["degree"])
+    rows = [line.split() for line in lines[header + 1:] if line.strip()]
+    assert [row[0] for row in rows] == ["1"]

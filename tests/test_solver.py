@@ -98,6 +98,19 @@ def test_two_point_forced_flag_pattern():
         solve_two_point(E, TwoPointProblem((0,), (0.5,)), r_pattern="0")
 
 
+def test_forced_flag_pattern_spans_every_component():
+    # the first component vanishes identically and is dropped; the pattern
+    # still names one flag per component of the problem
+    E = Ellipsoid((1.0, 2.0))
+    prob = TwoPointProblem((0, 0.1), (0, 0.3))
+    res = solve_two_point(E, prob, r_pattern="01")
+    assert res.dropped == (0,)
+    assert res.diagnostics.pattern == (1,)
+    for bad in ("1", "111"):
+        with pytest.raises(ValueError, match="bad flag pattern"):
+            solve_two_point(E, prob, r_pattern=bad)
+
+
 def test_two_point_labels_by_convexity():
     conv = solve_two_point(Ellipsoid((1.0,)), TwoPointProblem((0,), (0.4,)))
     assert conv.certified
@@ -277,6 +290,18 @@ def test_ball_oracle_requires_unit_exponents():
         ball_oracle(Ellipsoid((1.0, 2.0)), TwoPointProblem((0, 0), (0.3, 0.4)))
 
 
+def test_solvers_and_ball_oracle_refuse_the_other_problem_kind():
+    E = Ellipsoid((1.0, 1.0))
+    tp = TwoPointProblem((0.1, 0.2j), (0.3, -0.1))
+    pd = PointDirectionProblem((0.1, 0.2j), (0.3, -0.1))
+    with pytest.raises((TypeError, ValueError)):
+        solve_two_point(E, pd)
+    with pytest.raises((TypeError, ValueError)):
+        solve_point_direction(E, tp)
+    with pytest.raises((TypeError, ValueError)):
+        ball_oracle(E, pd)
+
+
 # ---------------------------------------------------------------------------
 # brute-force competitor search
 
@@ -345,6 +370,12 @@ def test_brute_rejects_degree_below_one():
         brute_force_disc(Ellipsoid((1.0,)), TwoPointProblem((0,), (0.5,)), 0)
 
 
+def test_brute_rejects_second_point_outside_ellipsoid():
+    with pytest.raises(ValueError, match="w is not strictly inside"):
+        brute_force_disc(Ellipsoid((1.0,)), TwoPointProblem((0.2,), (1.5,)),
+                         1)
+
+
 def test_brute_objective_gradient_matches_differences():
     # check at an infeasible level where the hinge is active and smooth
     p = np.array([1.0, 2.0])
@@ -368,9 +399,8 @@ def test_brute_objective_gradient_matches_differences():
 
 
 def test_brute_config_margin_respected():
-    cfg = SolverConfig(brute_margin=1e-6, brute_tol=2e-6)
     res = brute_force_disc(Ellipsoid((1.0,)), TwoPointProblem((0,), (0.5,)),
-                           1, cfg)
+                           1, SolverConfig())
     # witness stays strictly inside: certified sup over the dense grid
     assert res.certified_sup_u <= 0.0
     assert res.bisection_levels > 0
