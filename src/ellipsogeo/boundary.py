@@ -16,9 +16,9 @@ import numpy as np
 from .ellipsoid import Ellipsoid
 from . import extremal_map
 from .extremal_map import ExtremalMapParams
+from .polyfactor import unit_circle_grid
 
 __all__ = [
-    "BoundaryGrid",
     "FactorizationTriple",
     "FamilyFitReport",
     "FitPreconditionError",
@@ -33,45 +33,7 @@ __all__ = [
 ]
 
 
-def unit_circle_grid(M: int) -> np.ndarray:
-    """The M-th roots of unity exp(2 pi i k / M), k = 0..M-1."""
-    return np.exp(2j * np.pi * np.arange(M) / M)
-
-
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Samples of one scalar function on the uniform M-point circle grid.
-
-    M must be a power of two, at least 8, so FFT indexing stays exact
-    and halving/doubling grids nest.
-    """
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.samples, dtype=complex).reshape(-1)
-        M = v.size
-        if M < 8 or (M & (M - 1)) != 0:
-            raise ValueError(f"grid size {M} must be a power of two >= 8")
-        v.setflags(write=False)
-        object.__setattr__(self, "samples", v)
-
-    @property
-    def M(self) -> int:
-        return self.samples.size
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.M) / self.M
-
-    @classmethod
-    def from_function(cls, f, M: int) -> "BoundaryGrid":
-        return cls(np.asarray(f(unit_circle_grid(M)), dtype=complex))
-
-
 def _as_samples(g) -> np.ndarray:
-    if isinstance(g, BoundaryGrid):
-        return g.samples
     return np.asarray(g, dtype=complex).reshape(-1)
 
 

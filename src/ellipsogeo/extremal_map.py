@@ -230,7 +230,7 @@ def boundary_trace(params: ExtremalMapParams, ellipsoid: Ellipsoid,
         raise ValueError(f"M = {M} too small, need at least {4 * params.m + 4}")
     if M & (M - 1) != 0:
         raise ValueError(f"M = {M} must be a power of two")
-    zeta = np.exp(2j * np.pi * np.arange(M) / M)
+    zeta = polyfactor.unit_circle_grid(M)
     return _eval_components(params, ellipsoid.exponents, zeta)
 
 

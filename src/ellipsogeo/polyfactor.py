@@ -27,11 +27,17 @@ __all__ = [
     "expand_circle_product",
     "factor",
     "reconstruct_from_boundary",
+    "unit_circle_grid",
 ]
 
 
 class FactorError(ValueError):
     """Input polynomial is not in the factorable class (within tolerance)."""
+
+
+def unit_circle_grid(M: int) -> np.ndarray:
+    """The M-th roots of unity exp(2 pi i k / M), k = 0..M-1."""
+    return np.exp(2j * np.pi * np.arange(M) / M)
 
 
 def check_self_inversive(coeffs) -> float:
@@ -139,83 +145,36 @@ def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster_circle_roots(roots: list[complex], gap: float) -> list[list[complex]]:
-    """Group near-coincident unimodular roots by angular sweep."""
-    if not roots:
-        return []
-    order = np.argsort(np.angle(np.asarray(roots)))
-    sorted_roots = [roots[i] for i in order]
-    clusters = [[sorted_roots[0]]]
-    for b in sorted_roots[1:]:
-        if abs(b - clusters[-1][-1]) <= gap:
-            clusters[-1].append(b)
-        else:
-            clusters.append([b])
-    # the sweep may split one angular cluster across the branch cut
-    if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= gap:
-        clusters[0].extend(clusters.pop())
-    return clusters
+def _root_groups(on, dist, fmod2, gap, reach) -> list[list[int]]:
+    """Connected groups of root indices under two link rules.
 
-
-def _pair_attempt(roots, m, n_zero, collar, tol, c, vals, grid):
-    """One classification attempt at a given circle collar width.
-
-    Returns (residual, scale, zeros) for the best clustering at this
-    collar, or (None, message) when classification cannot proceed.
+    `dist` holds the distances between folded roots.  A root within the
+    circle collar (`on`) links to every other collar root within `gap`;
+    any other root links to its nearest off-collar root when within
+    reach * (1 + |b|^2), the reflection tolerance of its folded value b.
     """
-    on_circle = [complex(b) for b in roots if abs(abs(b) - 1.0) <= collar]
-    inside = [complex(b) for b in roots if abs(b) < 1.0 - collar]
-    outside = [complex(b) for b in roots if abs(b) > 1.0 + collar]
+    n = len(on)
+    links = [(i, j) for i in range(n) for j in range(i)
+             if on[i] and on[j] and dist[i][j] <= gap]
+    off = [i for i in range(n) if not on[i]]
+    for i in off:
+        d, j = min(((dist[i][j], j) for j in off if j != i),
+                   default=(np.inf, i))
+        if d <= reach * (1.0 + fmod2[i]):
+            links.append((i, j))
+    parent = list(range(n))
 
-    if len(inside) != len(outside):
-        return None, (f"unbalanced off-circle roots at collar {collar:.0e}: "
-                      f"{len(inside)} inside, {len(outside)} outside")
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
-    paired: list[complex] = [0.0] * n_zero
-    remaining = list(outside)
-    for b in inside:
-        target = 1.0 / np.conj(b)
-        dists = [abs(t - target) for t in remaining]
-        i_best = int(np.argmin(dists)) if dists else -1
-        pair_tol = max(tol, collar) * (1.0 + 1.0 / abs(b) ** 2)
-        if i_best < 0 or dists[i_best] > pair_tol:
-            return None, f"no reflected partner for root {b} within {pair_tol:.2e}"
-        partner = remaining.pop(i_best)
-        # b and 1/conj(partner) estimate the same zero; average them
-        paired.append(0.5 * (b + 1.0 / np.conj(partner)))
-    if remaining:
-        return None, f"{len(remaining)} outside roots left unpaired"
-
-    best = None
-    msg = "odd multiplicity on the circle"
-    for gap in (max(2 * collar, 1e-6), 3e-3, 3e-2):
-        clusters = _cluster_circle_roots(on_circle, gap)
-        if any(len(cl) % 2 != 0 for cl in clusters):
-            continue
-        zeros = list(paired)
-        for cl in clusters:
-            mean = np.mean(cl)
-            mean = mean / abs(mean)  # snap the cluster mean to the circle
-            zeros.extend([complex(mean)] * (len(cl) // 2))
-        if len(zeros) != m:
-            msg = f"recovered {len(zeros)} zeros, expected {m}"
-            continue
-        # scale estimate from the grid point farthest from every zero
-        prods = np.ones(grid.size)
-        for a in zeros:
-            prods *= np.abs(grid - a) ** 2
-        i_far = int(np.argmax(prods))
-        r = float(vals.real[i_far] / prods[i_far])
-        if r <= 0:
-            msg = f"scale {r:.3e} is not positive"
-            continue
-        back = expand_circle_product(r, zeros)
-        err = float(np.max(np.abs(back - c)))
-        if best is None or err < best[0]:
-            best = (err, r, zeros)
-    if best is None:
-        return None, msg
-    return best, None
+    for i, j in links:
+        parent[root(i)] = root(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
 
 
 # re-expansion error, relative to the largest coefficient, up to which a
@@ -230,17 +189,20 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
 
     Strategy: strip zero factors signalled by vanishing end coefficients,
     take companion-matrix roots of the rest, polish simple roots by one
-    Newton step, then pair reflected roots across the circle and average
-    even-multiplicity circle clusters.  Computed copies of a k-fold
-    circle root scatter by roughly eps^(1/k), so the on-circle collar is
-    widened progressively and each attempt is verified by re-expansion.
-    The attempt that re-expands closest to the input wins, except that
-    among attempts exact to roundoff the one with the fewest distinct
-    zeros wins.
+    Newton step, and fold every root into the closed disc.  A zero off
+    the circle is then a pair of folded roots and a mu-fold circle zero
+    a group of 2 mu, because computed copies of a k-fold circle root
+    scatter by roughly eps^(1/k).  At each of six widening circle
+    collars, roots are grouped once: collar roots by proximity, other
+    roots with their nearest folded neighbour; each group of 2 mu gives
+    mu copies of its mean (snapped to the circle for collar groups), and
+    the result is verified by re-expansion.  The attempt that re-expands
+    closest to the input wins, except that among attempts exact to
+    roundoff the one with the fewest distinct zeros wins.
 
     Raises FactorError when the polynomial is not self-inversive, takes
-    negative values on the circle, or its roots cannot be paired within
-    tolerance (odd circle multiplicities, unmatched reflections).
+    negative values on the circle, or its roots cannot be grouped within
+    tolerance (a group of odd size at every collar).
     """
     c = np.asarray(poly.coefficients, dtype=complex)
     m = poly.m
@@ -252,7 +214,7 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
         raise FactorError(f"self-inversive symmetry residual {sym:.3e} too large")
 
     # sign check on a fixed circle grid: P(zeta) / zeta^m must be >= 0
-    grid = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    grid = unit_circle_grid(1024)
     vals = np.polyval(c[::-1], grid) * grid ** (-m)
     if float(np.min(vals.real)) < -max(tol, 1e-8) * scale:
         raise FactorError(
@@ -278,19 +240,55 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
     roots = np.roots(work[::-1])
     roots = _polish_roots(work[::-1].copy(), roots)
 
+    # fold every root into the closed disc: a zero a inside the circle
+    # shows as the root pair (a, 1/conj(a)) and a mu-fold circle zero as
+    # 2 mu scattered copies of one root, so either becomes one group of
+    # 2 mu folded roots
+    mods = np.abs(roots).tolist()
+    outside = [x > 1.0 for x in mods]
+    folded = roots.copy()
+    folded[outside] = 1.0 / np.conj(roots[outside])
+    dist = np.abs(folded[:, None] - folded[None, :]).tolist()
+    fmod2 = (np.abs(folded) ** 2).tolist()
+    angles = np.angle(roots).tolist()
+
     attempts = []
     last_msg = "no classification attempted"
     # widest rung sized for an m-fold circle zero, which is a 2m-fold
     # polynomial root scattering like eps^(1/2m) under np.roots; no
-    # early exit, because near a high-multiplicity root every pairing
-    # re-expands to roundoff and only the widest collar clusters the
+    # early exit, because near a high-multiplicity root every grouping
+    # re-expands to roundoff and only the widest collar groups the
     # scattered copies so their mean cancels the first-order error
     for collar in (max(tol, 1e-7), 1e-5, 1e-3, 1e-2, 3e-2, 6e-2):
-        attempt, msg = _pair_attempt(roots, m, n_zero, collar, tol, c, vals, grid)
-        if attempt is None:
-            last_msg = msg
+        on = [abs(x - 1.0) <= collar for x in mods]
+        groups = _root_groups(on, dist, fmod2, max(2 * collar, 1e-6),
+                              max(tol, collar))
+        if any(len(g) % 2 for g in groups):
+            last_msg = f"odd root cluster at collar {collar:.0e}"
             continue
-        attempts.append(attempt)
+        # disc zeros in the order of their roots inside the circle, then
+        # circle zeros by angle, each group summed in angle order and
+        # its mean snapped to the circle
+        zeros = [0.0] * n_zero
+        disc = [g for g in groups if not on[g[0]]]
+        for g in sorted(disc, key=lambda g: min((outside[i], i) for i in g)):
+            zeros += [np.mean(folded[g])] * (len(g) // 2)
+        circle = [sorted(g, key=angles.__getitem__)
+                  for g in groups if on[g[0]]]
+        for g in sorted(circle, key=lambda g: angles[g[0]]):
+            mean = np.mean(roots[g])
+            zeros += [complex(mean / abs(mean))] * (len(g) // 2)
+        # scale estimate from the grid point farthest from every zero
+        prods = np.ones(grid.size)
+        for a in zeros:
+            prods *= np.abs(grid - a) ** 2
+        i_far = int(np.argmax(prods))
+        r = float(vals.real[i_far] / prods[i_far])
+        if r <= 0:
+            last_msg = f"scale {r:.3e} is not positive"
+            continue
+        err = float(np.max(np.abs(expand_circle_product(r, zeros) - c)))
+        attempts.append((err, r, zeros))
     if not attempts:
         raise FactorError(f"root pairing failed: {last_msg}")
 
@@ -342,7 +340,7 @@ def reconstruct_from_boundary(samples, sigma) -> CircleRationalForm:
     if np.any(np.abs(sig) >= 1.0):
         raise ValueError("divisor points sigma must lie in the open disc")
 
-    grid = np.exp(2j * np.pi * np.arange(M) / M)
+    grid = unit_circle_grid(M)
     mult = v.copy()
     for s in sig:
         mult *= 1.0 - np.conj(s) * grid

@@ -37,6 +37,7 @@ import numpy as np
 from .ellipsoid import Ellipsoid, PointClass
 from . import extremal_map
 from .extremal_map import ExtremalMapParams
+from .polyfactor import unit_circle_grid
 
 __all__ = [
     "BruteForceError",
@@ -902,9 +903,8 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
     data = _intake(ellipsoid, problem)
     kind, z, tg, p = data.kind, data.z, data.second, data.p
     n = z.size
-    zeta = np.exp(2j * np.pi * np.arange(_BRUTE_GRID) / _BRUTE_GRID)
-    zeta_cert = np.exp(2j * np.pi * np.arange(_BRUTE_CERT_GRID)
-                       / _BRUTE_CERT_GRID)
+    zeta = unit_circle_grid(_BRUTE_GRID)
+    zeta_cert = unit_circle_grid(_BRUTE_CERT_GRID)
     rng = np.random.default_rng(config.seed + 77)
     nfree = 2 * n * (degree - 1) + 2 * degree
 

@@ -112,6 +112,14 @@ def test_factor_round_trip_generic(seed):
     (np.exp(1j * 0.7),) * 4,
     (0.6, np.exp(1j * 2.1), np.exp(1j * 2.1), 0.2 - 0.5j),
     (0.0, 0.3 + 0.4j, np.exp(-1j * 0.3), np.exp(-1j * 0.3)),
+    # two disc zeros 0.01 apart beside a 3-fold circle zero: each pairs
+    # with its own reflection, not with its neighbour
+    (np.exp(1j * 1.16),) * 3 + (0.66 + 0.26j, 0.67 + 0.26j),
+    # a circle zero on the branch cut of the angle, its copies on both
+    # sides of it
+    (-1.0, -1.0, 0.4j),
+    (-1.0, -1.0, -1.0, 0.4j),
+    (-1.0,) * 4,
 ])
 def test_factor_round_trip_circle_multiplicities(zeros):
     # a k-fold circle zero of the form is a 2k-fold polynomial root; the

@@ -28,3 +28,13 @@ def test_competitor_degree_scan_prints_one_row_per_degree():
                   if line.split()[:1] == ["degree"])
     rows = [line.split() for line in lines[header + 1:] if line.strip()]
     assert [row[0] for row in rows] == ["1"]
+
+
+def test_factor_round_trip_prints_one_row_per_set():
+    proc = run_script("factor_round_trip.py", "--count", "20")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[0] == "set"
+    assert [line.split()[0] for line in lines[1:]] == [
+        "family-like", "circle", "generic", "close-1e-04", "close-1e-03",
+        "close-3e-03", "close-1e-02"]

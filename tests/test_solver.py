@@ -376,16 +376,30 @@ def test_brute_rejects_second_point_outside_ellipsoid():
                          1)
 
 
-def test_brute_objective_gradient_matches_differences():
-    # check at an infeasible level where the hinge is active and smooth
-    p = np.array([1.0, 2.0])
-    z = np.array([0.0, 0.0], dtype=complex)
-    tg = np.array([0.2, 0.3], dtype=complex)
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["two-point", "point-direction"])
+def test_brute_objective_gradient_matches_differences(kind, n, degree, start):
+    # check at an infeasible level where the hinge is active and smooth:
+    # sigma below the Mobius value, t above the Schwarz-Pick cap; x = 0
+    # takes the |v| = 0 branch of the squash derivative
+    p = np.array([1.0, 2.0])[:n]
+    tg = np.array([0.2, 0.3], dtype=complex)[:n]
+    if kind == "two-point":
+        z = np.zeros(n, dtype=complex)
+        scalar = (0.15, 0.28)[n - 1]
+    else:
+        z = np.array([0.1, 0.2 + 0.1j])[:n]
+        scalar = (10.0, 3.5)[n - 1]
     zeta = np.exp(2j * np.pi * np.arange(64) / 64)
-    cost_grad, _build = _brute_objective(p, z, tg, "two-point", 0.28, 2,
+    cost_grad, _build = _brute_objective(p, z, tg, kind, scalar, degree,
                                          1e-6, zeta)
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-2.0, 2.0, 2 * 2 * (2 - 1) + 2 * 2)
+    nfree = 2 * n * (degree - 1) + 2 * degree
+    if start == "zero":
+        x = np.zeros(nfree)
+    else:
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, nfree)
     c0, g = cost_grad(x)
     assert c0 > 1e-8  # hinge must be active for the check to mean anything
     for k in range(x.size):
