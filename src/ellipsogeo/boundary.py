@@ -29,7 +29,6 @@ __all__ = [
     "fourier_coefficients",
     "outer_from_log_modulus",
     "OuterFunction",
-    "unit_circle_grid",
 ]
 
 
@@ -147,10 +146,11 @@ class FitPreconditionError(ValueError):
 class FactorizationTriple:
     """Per-component factorization summary from a membership fit.
 
-    Blaschke zeros are the pinned interior zeros, the outer part is
-    reported through its fitted boundary log-modulus, and the defect is
-    the RMS log-modulus mass the two explain away only through a
-    (numerically forbidden) singular inner factor.
+    `blaschke_zeros` are the component's pinned interior zeros.
+    `outer_log_modulus` is the fitted model log |phi_j| on the M-point
+    grid, NaN at the masked samples.  `singular_defect` is the RMS of
+    the component's log-modulus residual over its usable samples; it
+    does not measure a singular inner factor.
     """
 
     blaschke_zeros: tuple[complex, ...]
@@ -160,7 +160,15 @@ class FactorizationTriple:
 
 @dataclass(frozen=True)
 class FamilyFitReport:
-    """Outcome of fitting candidate boundary data to the extremal family."""
+    """Outcome of fitting candidate boundary data to the extremal family.
+
+    `rms_total` is the RMS log-modulus residual over all usable samples
+    and `rms_by_component` the same per component; `singular_defect` is
+    the largest per-component RMS, not a singular inner factor.
+    `constraint_residual` is the tying identity of the assembled `params`,
+    `u_defect` the sup of |u| over the finite candidate samples, and
+    `masked` the number of (component, sample) pairs left out of the fit.
+    """
 
     params: ExtremalMapParams
     in_family: bool
@@ -184,32 +192,6 @@ def least_squares(*args, **kwargs):
     """
     from scipy.optimize import least_squares as scipy_least_squares
     return scipy_least_squares(*args, **kwargs)
-
-
-def _logmod_model(x, pinned, free_counts, p, m, zeta, masks):
-    """Stacked masked residual-model values for the log-modulus fit."""
-    n = len(p)
-    rho = x[:n]
-    pos = n
-    out = []
-    frees = []
-    for j in range(n):
-        fj = free_counts[j]
-        fa = x[pos: pos + 2 * fj: 2] + 1j * x[pos + 1: pos + 2 * fj: 2] \
-            if fj else np.zeros(0, complex)
-        pos += 2 * fj
-        frees.append(fa)
-    a0 = x[pos::2] + 1j * x[pos + 1::2]
-    denom = np.zeros(zeta.size)
-    for k in range(m):
-        denom += np.log(np.maximum(np.abs(1.0 - np.conj(a0[k]) * zeta), 1e-300))
-    for j in range(n):
-        acc = np.zeros(zeta.size)
-        for A in list(pinned[j]) + list(frees[j]):
-            acc += np.log(np.maximum(np.abs(1.0 - np.conj(A) * zeta), 1e-300))
-        model = rho[j] + (acc - denom) / p[j]
-        out.append(model[masks[j]])
-    return np.concatenate(out), frees, a0, rho
 
 
 def fit_extremal_family(
@@ -247,7 +229,12 @@ def fit_extremal_family(
         raise ValueError("band degree m must be >= 1")
     if len(zeros) != n:
         raise ValueError(f"zeros must list {n} components")
+    # column j of the zero matrix holds the pinned zeros of component j,
+    # then its free ones; the unknown vector is (rho, the free zeros
+    # column by column, the tied zeros alpha0), each zero as (re, im)
     pinned = []
+    pinned_alpha = np.zeros((m, n), dtype=complex)
+    free = np.ones((m, n), dtype=bool)
     for j, zl in enumerate(zeros):
         zl = [complex(z) for z in zl]
         if len(zl) > m:
@@ -255,6 +242,8 @@ def fit_extremal_family(
         if any(abs(z) >= 1.0 for z in zl):
             raise ValueError(f"component {j} has a pinned zero outside the disc")
         pinned.append(tuple(zl))
+        pinned_alpha[: len(zl), j] = zl
+        free[: len(zl), j] = False
     p = np.asarray(ellipsoid.exponents)
     zeta = unit_circle_grid(M)
 
@@ -271,44 +260,49 @@ def fit_extremal_family(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logmods = np.log(np.abs(S))
-    masks = []
-    for j in range(n):
-        bad = ~finite_cols | ~np.isfinite(logmods[j]) | (np.abs(logmods[j]) > 30)
-        # exclude the immediate neighbors of singular samples too
-        bad = bad | np.roll(bad, 1) | np.roll(bad, -1)
-        masks.append(~bad)
-        if np.count_nonzero(~bad) < max(8 * m, 16) // 2:
-            raise FitPreconditionError(
-                f"component {j} has too few usable samples after masking"
-            )
-    free_counts = [m - len(pinned[j]) for j in range(n)]
-    n_params = n + 2 * sum(free_counts) + 2 * m
-    data = np.concatenate([logmods[j][masks[j]] for j in range(n)])
+    bad = ~finite_cols | ~np.isfinite(logmods) | (np.abs(logmods) > 30)
+    # exclude the immediate neighbors of singular samples too
+    masks = ~(bad | np.roll(bad, 1, axis=1) | np.roll(bad, -1, axis=1))
+    short = np.count_nonzero(masks, axis=1) < max(8 * m, 16) // 2
+    if np.any(short):
+        raise FitPreconditionError(f"component {np.argmax(short)} has too "
+                                   "few usable samples after masking")
+    data = logmods[masks]
+
+    def unpack(x):
+        """(rho, the (m, n) zero matrix, the tied zeros alpha0) of x."""
+        zs = x[n::2] + 1j * x[n + 1::2]
+        alpha = pinned_alpha.copy()
+        alpha.T[free.T] = zs[: zs.size - m]
+        return x[:n], alpha, zs[zs.size - m:]
+
+    def log_factors(z):
+        # sum_k log |1 - conj(z_k) zeta| over the first axis of z
+        return np.sum(np.log(np.maximum(
+            np.abs(1.0 - np.conj(z)[..., None] * zeta), 1e-300)), axis=0)
+
+    def model(x):
+        """Model log |phi_j| on the whole grid, shape (n, M)."""
+        rho, alpha, a0 = unpack(x)
+        return (rho[:, None]
+                + (log_factors(alpha) - log_factors(a0)) / p[:, None])
 
     def residual(x):
-        model, _, _, _ = _logmod_model(x, pinned, free_counts, p, m, zeta, masks)
-        return model - data
+        return model(x)[masks] - data
 
     def start(rng=None):
-        x0 = np.zeros(n_params)
-        for j in range(n):
-            x0[j] = float(np.mean(logmods[j][masks[j]]))
-        pos = n
-        for j in range(n):
-            for i in range(free_counts[j]):
-                if rng is None:
-                    A = 0.15 * np.exp(2j * np.pi * (i + 0.3 * j) / max(m, 1))
-                else:
-                    A = rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
-                x0[pos], x0[pos + 1] = A.real, A.imag
-                pos += 2
-        for k in range(m):
-            if rng is None:
-                A = 0.2 * np.exp(2j * np.pi * (k + 0.17) / m + 0.4j)
-            else:
-                A = rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
-            x0[pos], x0[pos + 1] = A.real, A.imag
-            pos += 2
+        # a random start draws each zero in turn, radius before angle
+        zs = [0.15 * np.exp(2j * np.pi * (i + 0.3 * j) / m)
+              for j in range(n) for i in range(m - len(pinned[j]))]
+        zs += [0.2 * np.exp(2j * np.pi * (k + 0.17) / m + 0.4j)
+               for k in range(m)]
+        if rng is not None:
+            zs = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in zs]
+        x0 = np.zeros(n + 2 * len(zs))
+        x0[:n] = [np.mean(logmods[j][masks[j]]) for j in range(n)]
+        x0[n::2] = np.real(zs)
+        x0[n + 1::2] = np.imag(zs)
         return x0
 
     rng = np.random.default_rng(0)
@@ -334,32 +328,22 @@ def fit_extremal_family(
         raise RuntimeError("log-modulus fit failed to produce any solution")
     _, x = best
 
-    model, frees, a0, rho = _logmod_model(x, pinned, free_counts, p, m,
-                                          zeta, masks)
+    rho, alpha, a0 = unpack(x)
     rho = rho.copy()
     # fold any outside-disc fitted zero back in; on the circle the factor
-    # modulus only changes by a constant, absorbed into rho
-    frees = [fa.copy() for fa in frees]
-    for j in range(n):
-        for i, A in enumerate(frees[j]):
-            if abs(A) > 1.0:
-                rho[j] += np.log(abs(A)) / p[j]
-                frees[j][i] = 1.0 / np.conj(A)
-    a0 = a0.copy()
-    for k in range(m):
-        if abs(a0[k]) > 1.0:
-            for j in range(n):
-                rho[j] -= np.log(abs(a0[k])) / p[j]
-            a0[k] = 1.0 / np.conj(a0[k])
+    # modulus only changes by a constant, absorbed into rho (pinned zeros
+    # lie inside the disc)
+    for (i, j), A in np.ndenumerate(alpha):
+        if abs(A) > 1.0:
+            rho[j] += np.log(abs(A)) / p[j]
+            alpha[i, j] = 1.0 / np.conj(A)
+    for k, A in enumerate(a0):
+        if abs(A) > 1.0:
+            rho -= np.log(abs(A)) / p
+            a0[k] = 1.0 / np.conj(A)
 
-    alpha = np.zeros((m, n), dtype=complex)
-    rflag = np.zeros((m, n), dtype=int)
-    for j in range(n):
-        col = list(pinned[j]) + list(frees[j])
-        alpha[:, j] = col
-        rflag[: len(pinned[j]), j] = 1
     params0 = ExtremalMapParams(m=m, n=n, a=np.exp(rho),
-                                alpha0=a0, alpha=alpha, r=rflag)
+                                alpha0=a0, alpha=alpha, r=~free)
     trace = extremal_map._eval_components(params0, ellipsoid.exponents, zeta)
     psi = np.zeros(n)
     for j in range(n):
@@ -367,37 +351,26 @@ def fit_extremal_family(
         inner = np.sum(S[j][mask] * np.conj(trace[j][mask]))
         psi[j] = float(np.angle(inner)) if inner != 0 else 0.0
     params = ExtremalMapParams(m=m, n=n, a=np.exp(rho + 1j * psi),
-                               alpha0=a0, alpha=alpha, r=rflag)
+                               alpha0=a0, alpha=alpha, r=~free)
 
-    rms_by = []
-    triples = []
-    pos = 0
-    for j in range(n):
-        cnt = int(np.count_nonzero(masks[j]))
-        res_j = (model - data)[pos: pos + cnt]
-        pos += cnt
-        rms_j = float(np.sqrt(np.mean(res_j ** 2))) if cnt else float("inf")
-        rms_by.append(rms_j)
-        full_model = np.full(M, np.nan)
-        full_model[masks[j]] = model[pos - cnt: pos]
-        triples.append(FactorizationTriple(
-            blaschke_zeros=pinned[j],
-            outer_log_modulus=full_model,
-            singular_defect=rms_j,
-        ))
-    rms_total = float(np.sqrt(np.mean((model - data) ** 2)))
-    singular_defect = float(max(rms_by))
+    fit = model(x)
+    rms_by = tuple(
+        float(np.sqrt(np.mean((fit[j][masks[j]] - logmods[j][masks[j]]) ** 2)))
+        for j in range(n))
+    outer = np.where(masks, fit, np.nan)
+    rms_total = float(np.sqrt(np.mean((fit[masks] - data) ** 2)))
     cres = extremal_map.constraint_residual(params, ellipsoid)
     in_family = rms_total <= tol and cres <= max(10 * tol, 1e-8)
     return FamilyFitReport(
         params=params,
         in_family=in_family,
         rms_total=rms_total,
-        rms_by_component=tuple(rms_by),
-        singular_defect=singular_defect,
+        rms_by_component=rms_by,
+        singular_defect=max(rms_by),
         constraint_residual=cres,
         u_defect=u_defect,
-        triples=tuple(triples),
-        masked=int(np.sum([np.count_nonzero(~mk) for mk in masks])),
+        triples=tuple(FactorizationTriple(pinned[j], outer[j], rms_by[j])
+                      for j in range(n)),
+        masked=int(np.count_nonzero(~masks)),
         tol=tol,
     )

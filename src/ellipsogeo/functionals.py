@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import unit_circle_grid
+from .polyfactor import unit_circle_grid
 
 __all__ = [
     "BoundaryFunctional",

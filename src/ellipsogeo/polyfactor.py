@@ -288,7 +288,7 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
             last_msg = f"scale {r:.3e} is not positive"
             continue
         err = float(np.max(np.abs(expand_circle_product(r, zeros) - c)))
-        attempts.append((err, r, zeros))
+        attempts.append((err, r, zeros, collar))
     if not attempts:
         raise FactorError(f"root pairing failed: {last_msg}")
 
@@ -297,16 +297,16 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
         # circle zero into distinct zeros that still re-expand to
         # roundoff; among attempts at roundoff, the one that merged them
         # (fewest distinct zeros) is the factorization
-        err, _, zeros = attempt
+        err, _, zeros, _ = attempt
         if err <= _ROUNDOFF * scale:
             return (0, len(set(zeros)), err)
         return (1, 0, err)
 
-    err, r, zeros = min(attempts, key=rank)
+    err, r, zeros, collar = min(attempts, key=rank)
     if err > max(tol, 1e-7) * scale * 10:
         raise FactorError(
             f"re-expansion residual {err:.3e} exceeds tolerance "
-            f"({last_msg})"
+            f"(best attempt at collar {collar:.0e})"
         )
     return CircleRationalForm(r, tuple(zeros))
 

@@ -131,7 +131,10 @@ def test_blaschke_rejects_exterior_zero():
 
 
 # --- membership fit ---------------------------------------------------------
+# The fit's inputs here are all fixed, so any RuntimeWarning (a log of 0, an
+# overflow) is a fault of the fit, not of a draw.
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_recovers_flat_family_exactly():
     a = np.array([np.sqrt(0.5), 0.5 ** 0.25], dtype=complex)
     params = em.ExtremalMapParams(
@@ -157,6 +160,7 @@ def _flat_fit_input():
     return em.boundary_trace(params, E, 64), ((0.0,), (0.0,)), E, 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_skips_a_start_least_squares_rejects(monkeypatch):
     real = boundary.least_squares
     calls = []
@@ -173,6 +177,7 @@ def test_fit_skips_a_start_least_squares_rejects(monkeypatch):
     assert rep.in_family
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_propagates_unexpected_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("not a bad start")
@@ -182,6 +187,7 @@ def test_fit_propagates_unexpected_errors(monkeypatch):
         fit_extremal_family(*_flat_fit_input())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n,m,seed", [(1, 1, 0), (2, 1, 1), (2, 2, 2),
                                       (3, 2, 3), (1, 3, 4)])
 def test_fit_round_trip_hidden_parameters(n, m, seed):
@@ -208,6 +214,7 @@ def test_fit_round_trip_hidden_parameters(n, m, seed):
             assert np.min(np.abs(fitted0 - params.alpha0[k])) < 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_rejects_off_boundary_candidate():
     # (lam, c) with constant c is holomorphic but never sits on the
     # boundary surface, so the precondition trips before any fitting
@@ -218,14 +225,55 @@ def test_fit_rejects_off_boundary_candidate():
         fit_extremal_family(samples, ((0.0,), ()), Ellipsoid((1.0, 1.0)), 1)
 
 
-def test_fit_reports_masked_and_tolerance():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nan_column", [None, 5],
+                         ids=["clean", "nan-column-5"])
+def test_fit_reports_masked_and_tolerance(nan_column):
     rng = np.random.default_rng(8)
     p = (1.0, 1.3)
     E = Ellipsoid(p)
     params = em.random_valid_params(rng, p, 1)
     trace = em.boundary_trace(params, E, 128)
+    # a non-finite sample is masked together with its two neighbours
+    skipped = []
+    if nan_column is not None:
+        trace[:, nan_column] = np.nan
+        skipped = [nan_column - 1, nan_column, nan_column + 1]
     rep = fit_extremal_family(trace, em.component_zeros(params), E, 1, tol=1e-5)
     assert rep.tol == 1e-5
     assert rep.in_family
     assert len(rep.rms_by_component) == 2
     assert len(rep.triples) == 2
+    assert rep.masked == 2 * len(skipped)
+    for j, triple in enumerate(rep.triples):
+        assert np.flatnonzero(np.isnan(triple.outer_log_modulus)).tolist() \
+            == skipped
+        assert triple.blaschke_zeros == em.component_zeros(params)[j]
+        assert triple.singular_defect == rep.rms_by_component[j]
+    assert rep.singular_defect == max(rep.rms_by_component)
+
+
+def _zero_component_input():
+    # (zeta, 0) lies on the boundary of the round ball, but log |0| leaves
+    # component 1 no usable sample
+    Mg = 64
+    zeta = np.exp(2j * np.pi * np.arange(Mg) / Mg)
+    return np.stack([zeta, np.zeros(Mg, dtype=complex)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_a_component_masked_away():
+    with pytest.raises(FitPreconditionError,
+                       match="^component 1 has too few usable samples "
+                             "after masking$"):
+        fit_extremal_family(_zero_component_input(), ((), ()),
+                            Ellipsoid((1.0, 1.0)), 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_too_many_non_finite_samples():
+    samples = _zero_component_input()
+    samples[:, : samples.shape[1] // 4 + 1] = np.nan
+    with pytest.raises(FitPreconditionError,
+                       match="^too many non-finite candidate samples$"):
+        fit_extremal_family(samples, ((), ()), Ellipsoid((1.0, 1.0)), 1)

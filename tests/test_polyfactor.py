@@ -149,6 +149,20 @@ def test_factor_merges_split_copies_of_a_doubled_circle_zero():
     assert zero_mismatch(got.zeros, zeros) < 1e-8
 
 
+def test_factor_error_names_the_best_attempt():
+    # circle zeros 0.01 apart: lowering the middle coefficient splits the
+    # pair off the circle, no attempt re-expands within tolerance, and the
+    # collars 1e-02, 3e-02 and 6e-02 tie for the smallest residual
+    c = np.array(expand_circle_product(
+        1.0, (np.exp(0.7j), np.exp(0.71j), 0.3)))
+    c[3] -= 1e-9
+    with pytest.raises(FactorError) as info:
+        factor(SelfInversivePoly(tuple(c)), tol=1e-7)
+    assert str(info.value) == (
+        "re-expansion residual 2.637e-05 exceeds tolerance "
+        "(best attempt at collar 1e-02)")
+
+
 def test_factor_interior_zero_near_circle():
     zeros = (0.995 * np.exp(1j * 0.7),)
     got = factor(SelfInversivePoly(tuple(expand_circle_product(1.0, zeros))))
