@@ -749,11 +749,27 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
     partial in closed form.  Finite differences are useless here; close
     to the feasible set the cost sits at roundoff level and a noisy
     gradient stalls the line search far from the sharp minimum.
+
+    What does not depend on x is tabulated once per objective, and each
+    evaluation works on whole (n, M) arrays.  Every element still sees
+    the same operations in the same order as a per-component loop, so
+    cost and gradient are bit-identical to it; L-BFGS paths are chaotic
+    enough that a regrouped sum moves the bisection's verdicts.
     """
     n = z.size
     d = degree
     ncf = 2 * n * (d - 1)
     nfree = ncf + 2 * d
+    pcol = p[:, None]
+    expo = 2.0 * pcol                                   # |g|^(2p) in u
+    expo_t = 2.0 * pcol - 2.0                           # its derivative
+    # numerators of dg_j / dc_{ij} times q, i = 2..d: (d - 1, M)
+    if kind == "two-point":
+        powers = scalar ** np.arange(2, d + 1)
+        dnum = [zeta ** i - scalar ** (i - 1) * zeta for i in range(2, d + 1)]
+    else:
+        dnum = [zeta ** i for i in range(2, d + 1)]
+    dnum = np.array(dnum, dtype=complex).reshape(d - 1, zeta.size)
 
     def split(x):
         if d >= 2:
@@ -770,51 +786,54 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
     def assemble(chigh, beta):
         bc = np.conj(beta)
         fac = 1.0 - bc[:, None] * zeta[None, :]          # (d, M)
-        q = np.prod(fac, axis=0)                         # (M,)
+        q = fac.prod(axis=0)                             # (M,)
         if kind == "two-point":
             qs_fac = 1.0 - bc * scalar                   # (d,)
-            qs = complex(np.prod(qs_fac))
-            powers = scalar ** np.arange(2, d + 1)
+            qs = complex(qs_fac.prod())
             c1 = (tg * qs - z - chigh @ powers) / scalar
         else:
-            qs_fac = None
+            qs_fac = qs = None
             c1 = scalar * tg + z * (-np.sum(bc))
         coeffs = np.concatenate([z[:, None], c1[:, None], chigh], axis=1)
-        num = np.stack([np.polyval(coeffs[j, ::-1], zeta) for j in range(n)])
-        return coeffs, fac, q, qs_fac, num / q[None, :]
+        # Horner in np.polyval's order, every component at once
+        g = np.zeros((n, zeta.size), dtype=complex)
+        for k in range(d, -1, -1):
+            g *= zeta
+            g += coeffs[:, k:k + 1]
+        g /= q
+        return coeffs, fac, q, qs_fac, qs, g
 
     def build(x):
         chigh, _, _, beta = split(x)
-        coeffs, _, _, _, g = assemble(chigh, beta)
+        coeffs, _, _, _, _, g = assemble(chigh, beta)
         return coeffs, beta, g
 
     def cost_grad(x):
         chigh, v, absv, beta = split(x)
-        _, fac, q, qs_fac, g = assemble(chigh, beta)
+        _, fac, q, qs_fac, qs, g = assemble(chigh, beta)
         absg = np.abs(g)
-        u = np.sum(absg ** (2.0 * p[:, None]), axis=0) - 1.0
+        u = np.sum(absg ** expo, axis=0) - 1.0
         viol = np.maximum(u + margin, 0.0)
         cost = float(np.sum(viol * viol))
         grad = np.zeros(nfree)
         if cost == 0.0:
             return cost, grad
         # weight per (component, grid point); clip keeps p < 1 finite at g = 0
-        T = (2.0 * viol[None, :] * 2.0 * p[:, None]
-             * np.maximum(absg, 1e-150) ** (2.0 * p[:, None] - 2.0)
+        T = (2.0 * viol[None, :] * 2.0 * pcol
+             * np.maximum(absg, 1e-150) ** expo_t
              * np.conj(g))                              # (n, M)
         zq = zeta / q                                   # (M,)
-        # free numerator coefficients c_{ij}, i = 2..d
-        for i in range(2, d + 1):
-            if kind == "two-point":
-                D = (zeta ** i - scalar ** (i - 1) * zeta) / q
-            else:
-                D = zeta ** i / q
-            for j in range(n):
-                S = T[j] * D
-                col = 2 * ((i - 2) + j * (d - 1))
-                grad[col] = float(np.sum(S.real))
-                grad[col + 1] = float(-np.sum(S.imag))
-        # denominator parameters v_i through beta conjugates
+        # free numerator coefficients c_{ij}, i = 2..d, laid out (j, i)
+        S = T[:, None, :] * (dnum / q)                  # (n, d - 1, M)
+        grad[0:ncf:2] = S.real.sum(axis=-1).ravel()
+        grad[1:ncf:2] = -S.imag.sum(axis=-1).ravel()
+        # denominator parameters v_i through beta conjugates:
+        # dg_j / d(conj beta_i) = zeta dc1_ij / q + g_j zeta / fac_i
+        if kind == "two-point":
+            dc1 = (-tg * qs)[None, :] / qs_fac[:, None]   # (d, n)
+        else:
+            dc1 = np.broadcast_to(-z, (d, n))
+        dq_ratio = zeta / fac                           # (d, M)
         for i in range(d):
             if absv[i] > 0:
                 unit = v[i] / absv[i]
@@ -825,16 +844,16 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
             else:
                 db_re = _SQUASH
                 db_im = 1j * _SQUASH
-            if kind == "two-point":
-                dc1 = -tg * complex(np.prod(qs_fac)) / qs_fac[i]  # (n,)
-            else:
-                dc1 = -z
-            # dg_j / d(conj beta_i) = zeta dc1_j / q + g_j zeta / fac_i
-            dq_ratio = zeta / fac[i]
+            # one (n, M) array per i keeps the 8192 grid in cache.  numpy's
+            # complex product rounds with FMA, so a * b and b * a can differ
+            # in the last bit; explicit out= keeps the operand order, which
+            # temporary elision may swap on arrays of 256 KiB or more
+            dg = g * dq_ratio[i]
+            np.add(dc1[i][:, None] * zq, dg, out=dg)
+            np.multiply(T, dg, out=dg)
             acc = 0j
-            for j in range(n):
-                dg = dc1[j] * zq + g[j] * dq_ratio
-                acc += np.sum(T[j] * dg)
+            for s in dg.sum(axis=-1):
+                acc += s
             grad[ncf + 2 * i] = float((acc * np.conj(db_re)).real)
             grad[ncf + 2 * i + 1] = float((acc * np.conj(db_im)).real)
         return cost, grad
@@ -852,13 +871,19 @@ def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, zeta, zeta_cert):
     before it counts, and the polished disc must have sup u <= 0 there.
     Without the polish the bisection silently treats near-extremal
     feasible levels as infeasible and returns a bound that is too loose
-    by orders of magnitude.
+    by orders of magnitude.  L-BFGS is deterministic, so a start equal to
+    an earlier one (the warm witness of a z = 0 disc is often x = 0) is
+    skipped: it would repeat that run exactly.
     """
     cost_grad, _ = _brute_objective(p, z, tg, kind, scalar, degree,
                                     _BRUTE_MARGIN, zeta)
     opts = {"maxiter": _BRUTE_MAXITER, "ftol": 1e-30, "gtol": 1e-30}
     best = None
+    tried = set()
     for x0 in x0_list:
+        if x0.tobytes() in tried:
+            continue
+        tried.add(x0.tobytes())
         res = minimize(cost_grad, x0, method="L-BFGS-B", jac=True,
                        options=opts)
         if best is None or res.fun < best.fun:

@@ -26,8 +26,13 @@ def test_competitor_degree_scan_prints_one_row_per_degree():
     lines = proc.stdout.splitlines()
     header = next(i for i, line in enumerate(lines)
                   if line.split()[:1] == ["degree"])
+    assert lines[header].split() == ["degree", "competitor", "gap",
+                                     "lbfgs_runs", "objective_evals",
+                                     "seconds"]
     rows = [line.split() for line in lines[header + 1:] if line.strip()]
     assert [row[0] for row in rows] == ["1"]
+    # the counts are machine-independent and positive
+    assert int(rows[0][3]) > 0 and int(rows[0][4]) >= int(rows[0][3])
 
 
 def test_factor_round_trip_prints_one_row_per_set():

@@ -9,6 +9,7 @@ import scipy.optimize
 from ellipsogeo import solver
 from ellipsogeo.ellipsoid import Ellipsoid
 from ellipsogeo.extremal_map import evaluate, derivative
+from ellipsogeo.polyfactor import unit_circle_grid
 from ellipsogeo.solver import (
     BruteForceError,
     PointDirectionProblem,
@@ -30,6 +31,10 @@ from ellipsogeo.solver import (
 # value produced by the degree-3 competitor search on the fixed instance
 # below; kept as a regression pin, not derived from anything else
 FROZEN_P12_D3 = 0.33495705986022944
+
+# L-BFGS objective evaluations of the degree-1 competitor on the linear
+# disc (p = 1, z = 0, w = 0.5), with no start run twice
+LINEAR_DISC_NFEV = 1315
 
 
 def assert_gates(res):
@@ -328,16 +333,48 @@ def test_brute_frozen_regression_and_solver_consistency():
     assert_gates(sol)
 
 
+def counting_minimize(monkeypatch):
+    """Substitute `solver.minimize`; return its list of (objective, x0, nfev)."""
+    forwarded = solver.minimize
+    runs = []
+
+    def counting(fun, x0, *args, **kwargs):
+        res = forwarded(fun, x0, *args, **kwargs)
+        runs.append((fun, x0.tobytes(), res.nfev))
+        return res
+
+    monkeypatch.setattr(solver, "minimize", counting)
+    return runs
+
+
 @pytest.mark.parametrize("problem,value,levels,calls", [
     (PointDirectionProblem((0.2,), (0.5j,)), 1.9199983081054683, 21, 22),
     (TwoPointProblem((0.2,), (0.5j,)), 0.5358444797661603, 20, 21),
 ])
-def test_brute_bisection_counts_pinned(problem, value, levels, calls):
-    # one bisection serves both kinds: t moves up, sigma moves down
+def test_brute_bisection_counts_pinned(monkeypatch, problem, value, levels,
+                                       calls):
+    # one bisection serves both kinds: t moves up, sigma moves down; the
+    # objective evaluations pin every L-BFGS path, not just the verdicts
+    nfev = {PointDirectionProblem: 2067, TwoPointProblem: 5340}[type(problem)]
+    runs = counting_minimize(monkeypatch)
     res = brute_force_disc(Ellipsoid((1.0,)), problem, 2)
     assert (res.bisection_levels, res.feasibility_calls) == (levels, calls)
     assert abs(res.value - value) < 1e-12
     assert res.certified_sup_u <= 0.0
+    assert sum(r[2] for r in runs) == nfev
+
+
+def test_brute_skips_a_repeated_start(monkeypatch):
+    # at z = 0 the warm witness is often x = 0, equal to the zero start;
+    # L-BFGS is deterministic, so running it twice would only repeat work
+    E, prob = Ellipsoid((1.0,)), TwoPointProblem((0,), (0.5,))
+    plain = brute_force_disc(E, prob, 1)
+    runs = counting_minimize(monkeypatch)
+    res = brute_force_disc(E, prob, 1)
+    starts = [(fun, x0) for fun, x0, _ in runs]
+    assert len(set(starts)) == len(starts)
+    assert res == plain
+    assert sum(r[2] for r in runs) == LINEAR_DISC_NFEV
 
 
 def test_brute_runs_every_lbfgs_through_solver_minimize(monkeypatch):
@@ -376,22 +413,29 @@ def test_brute_rejects_second_point_outside_ellipsoid():
                          1)
 
 
-@pytest.mark.parametrize("start", ["zero", "random"])
-@pytest.mark.parametrize("degree", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("kind", ["two-point", "point-direction"])
-def test_brute_objective_gradient_matches_differences(kind, n, degree, start):
-    # check at an infeasible level where the hinge is active and smooth:
-    # sigma below the Mobius value, t above the Schwarz-Pick cap; x = 0
-    # takes the |v| = 0 branch of the squash derivative
-    p = np.array([1.0, 2.0])[:n]
-    tg = np.array([0.2, 0.3], dtype=complex)[:n]
+def objective_data(kind, n, feasible=False):
+    """(p, z, tg, scalar) at a level where the hinge is active at x = 0:
+    sigma below the extremal value, t above the Schwarz-Pick cap; or, with
+    `feasible`, at a level where x = 0 and small x cost nothing."""
+    p = np.array([1.0, 2.0, 1.5])[:n]
+    tg = np.array([0.2, 0.3, 0.1j], dtype=complex)[:n]
     if kind == "two-point":
         z = np.zeros(n, dtype=complex)
-        scalar = (0.15, 0.28)[n - 1]
+        scalar = 0.9 if feasible else (0.15, 0.28, 0.28)[n - 1]
     else:
-        z = np.array([0.1, 0.2 + 0.1j])[:n]
-        scalar = (10.0, 3.5)[n - 1]
+        z = np.array([0.1, 0.2 + 0.1j, -0.05])[:n]
+        scalar = 0.5 if feasible else (10.0, 3.5, 3.5)[n - 1]
+    return p, z, tg, scalar
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["two-point", "point-direction"])
+def test_brute_objective_gradient_matches_differences(kind, n, degree, start):
+    # check at an infeasible level where the hinge is active and smooth;
+    # x = 0 takes the |v| = 0 branch of the squash derivative
+    p, z, tg, scalar = objective_data(kind, n)
     zeta = np.exp(2j * np.pi * np.arange(64) / 64)
     cost_grad, _build = _brute_objective(p, z, tg, kind, scalar, degree,
                                          1e-6, zeta)
@@ -410,6 +454,116 @@ def test_brute_objective_gradient_matches_differences(kind, n, degree, start):
         xm[k] -= h
         fd = (cost_grad(xp)[0] - cost_grad(xm)[0]) / (2 * h)
         assert abs(fd - g[k]) < 1e-5 * max(1.0, abs(g[k]))
+
+
+def loop_objective(p, z, tg, kind, scalar, degree, margin, zeta):
+    """The objective as one small numpy call per (component, coefficient):
+    the reference that `_brute_objective` must match bit for bit."""
+    n, d = z.size, degree
+    ncf = 2 * n * (d - 1)
+
+    def split(x):
+        raw = x[:ncf]
+        chigh = (raw[0::2] + 1j * raw[1::2]).reshape(n, d - 1) if d >= 2 \
+            else np.zeros((n, 0), dtype=complex)
+        v = x[ncf:][0::2] + 1j * x[ncf:][1::2]
+        absv = np.abs(v)
+        return chigh, v, absv, solver._SQUASH * v / (1.0 + absv)
+
+    def assemble(chigh, beta):
+        bc = np.conj(beta)
+        fac = 1.0 - bc[:, None] * zeta[None, :]
+        q = np.prod(fac, axis=0)
+        if kind == "two-point":
+            qs_fac = 1.0 - bc * scalar
+            qs = complex(np.prod(qs_fac))
+            powers = scalar ** np.arange(2, d + 1)
+            c1 = (tg * qs - z - chigh @ powers) / scalar
+        else:
+            qs_fac = None
+            c1 = scalar * tg + z * (-np.sum(bc))
+        coeffs = np.concatenate([z[:, None], c1[:, None], chigh], axis=1)
+        num = np.stack([np.polyval(coeffs[j, ::-1], zeta) for j in range(n)])
+        return coeffs, fac, q, qs_fac, num / q[None, :]
+
+    def build(x):
+        chigh, _, _, beta = split(x)
+        coeffs, _, _, _, g = assemble(chigh, beta)
+        return coeffs, beta, g
+
+    def cost_grad(x):
+        chigh, v, absv, beta = split(x)
+        _, fac, q, qs_fac, g = assemble(chigh, beta)
+        absg = np.abs(g)
+        u = np.sum(absg ** (2.0 * p[:, None]), axis=0) - 1.0
+        viol = np.maximum(u + margin, 0.0)
+        cost = float(np.sum(viol * viol))
+        grad = np.zeros(ncf + 2 * d)
+        if cost == 0.0:
+            return cost, grad
+        T = (2.0 * viol[None, :] * 2.0 * p[:, None]
+             * np.maximum(absg, 1e-150) ** (2.0 * p[:, None] - 2.0)
+             * np.conj(g))
+        zq = zeta / q
+        for i in range(2, d + 1):
+            if kind == "two-point":
+                D = (zeta ** i - scalar ** (i - 1) * zeta) / q
+            else:
+                D = zeta ** i / q
+            for j in range(n):
+                S = T[j] * D
+                col = 2 * ((i - 2) + j * (d - 1))
+                grad[col] = float(np.sum(S.real))
+                grad[col + 1] = float(-np.sum(S.imag))
+        for i in range(d):
+            sq, a = solver._SQUASH, absv[i]
+            if a > 0:
+                unit = v[i] / a
+                db_re = sq * ((1.0 + a) - v[i] * unit.real) / (1.0 + a) ** 2
+                db_im = sq * (1j * (1.0 + a) - v[i] * unit.imag) \
+                    / (1.0 + a) ** 2
+            else:
+                db_re, db_im = sq, 1j * sq
+            if kind == "two-point":
+                dc1 = -tg * complex(np.prod(qs_fac)) / qs_fac[i]
+            else:
+                dc1 = -z
+            dq_ratio = zeta / fac[i]
+            acc = 0j
+            for j in range(n):
+                dg = dc1[j] * zq + g[j] * dq_ratio
+                acc += np.sum(T[j] * dg)
+            grad[ncf + 2 * i] = float((acc * np.conj(db_re)).real)
+            grad[ncf + 2 * i + 1] = float((acc * np.conj(db_im)).real)
+        return cost, grad
+
+    return cost_grad, build
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["two-point", "point-direction"])
+def test_brute_objective_is_bit_identical_to_the_loop_form(kind, n, degree):
+    # L-BFGS paths are chaotic: a 1e-15 change in one gradient moves the
+    # bisection's verdicts, so the batched objective must equal the loop
+    rng = np.random.default_rng(11)
+    nfree = 2 * n * (degree - 1) + 2 * degree
+    for m in (64, 8192):
+        zeta = unit_circle_grid(m)
+        for feasible, x in ((False, np.zeros(nfree)),
+                            (False, rng.uniform(-2.0, 2.0, nfree)),
+                            (True, 0.01 * rng.standard_normal(nfree))):
+            p, z, tg, scalar = objective_data(kind, n, feasible)
+            args = (p, z, tg, kind, scalar, degree, 1e-6, zeta)
+            cost_grad, build = _brute_objective(*args)
+            ref_cg, ref_build = loop_objective(*args)
+            cost, grad = cost_grad(x)
+            ref_cost, ref_grad = ref_cg(x)
+            assert (cost == 0.0) == feasible
+            assert cost == ref_cost
+            assert np.array_equal(grad, ref_grad)
+            for got, want in zip(build(x), ref_build(x)):
+                assert np.array_equal(got, want)
 
 
 def test_brute_config_margin_respected():
