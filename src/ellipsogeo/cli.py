@@ -455,11 +455,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+    except (_UsageError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,6 +40,7 @@ __all__ = [
     "boundary_defect",
     "boundary_defect_info",
     "boundary_trace",
+    "check_grid",
     "component_zeros",
     "constraint_residual",
     "derivative",
@@ -216,20 +217,26 @@ def derivative(params: ExtremalMapParams, ellipsoid: Ellipsoid, lam):
     return _interior(params, ellipsoid, lam, with_derivative=True)
 
 
+def check_grid(M: int, m: int, name: str = "M") -> None:
+    """Reject a circle grid unusable at band degree m: M must be a power
+    of two with M >= 4 m + 4."""
+    if M < 4 * m + 4:
+        raise ValueError(f"{name} = {M} too small, need at least {4 * m + 4}")
+    if M & (M - 1) != 0:
+        raise ValueError(f"{name} = {M} must be a power of two")
+
+
 def boundary_trace(params: ExtremalMapParams, ellipsoid: Ellipsoid,
                    M: int) -> np.ndarray:
     """Radial boundary values on the uniform M-point circle grid.
 
-    M must be a power of two with M >= 4 m + 4.  Individual samples may
+    M must pass `check_grid` at the band degree m.  Individual samples may
     come out non-finite where a tied zero sits on the circle itself;
     callers are expected to mask them (boundary_defect does).
     """
     _check_pair(params, ellipsoid)
     params.check_box()
-    if M < 4 * params.m + 4:
-        raise ValueError(f"M = {M} too small, need at least {4 * params.m + 4}")
-    if M & (M - 1) != 0:
-        raise ValueError(f"M = {M} must be a power of two")
+    check_grid(M, params.m)
     zeta = polyfactor.unit_circle_grid(M)
     return _eval_components(params, ellipsoid.exponents, zeta)
 

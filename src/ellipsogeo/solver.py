@@ -112,6 +112,12 @@ class SolverConfig:
     boundary_tol: float = 1e-8
     boundary_grid: int = 512
 
+    def __post_init__(self):
+        # the solver's members have band degree 1
+        extremal_map.check_grid(self.boundary_grid, 1, "boundary_grid")
+        if self.starts < 0:
+            raise ValueError(f"starts = {self.starts} must be at least 0")
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -241,12 +247,13 @@ _NEWTON_TOL = 1e-12      # max-norm residual at which a start has converged
 
 
 def _damped_newton(F, jac, x0, guard):
-    """Newton with backtracking line search and a regularized fallback.
+    """Newton with a backtracking (Armijo) line search.
 
     F(x) returns the residual and the intermediate values from which
     jac builds the Jacobian at the same x.  Returns (x, iterations) on
     convergence, (None, iterations) on failure.  `guard` rejects
-    out-of-box iterates before F is called.
+    out-of-box iterates before F is called.  A start fails as soon as
+    its line search finds no decrease.
     """
     x = np.array(x0, dtype=float)
     if not guard(x):
@@ -256,9 +263,7 @@ def _damped_newton(F, jac, x0, guard):
     for it in range(_NEWTON_MAX_ITER):
         if nrm < _NEWTON_TOL:
             return x, it
-        J = jac(parts)
-        step, *_ = np.linalg.lstsq(J, -fx, rcond=None)
-        accepted = False
+        step, *_ = np.linalg.lstsq(jac(parts), -fx, rcond=None)
         t = 1.0
         while t >= 1e-12:
             xn = x + t * step
@@ -266,24 +271,10 @@ def _damped_newton(F, jac, x0, guard):
                 fn, pn = F(xn)
                 nn = float(np.max(np.abs(fn)))
                 if nn <= (1.0 - 1e-4 * t) * nrm or nn < _NEWTON_TOL:
-                    accepted = True
                     break
             t *= 0.5
-        if not accepted:
-            lam = 1e-6 * (1.0 + nrm)
-            for _ in range(8):
-                A = J.T @ J + lam * np.eye(x.size)
-                step = np.linalg.solve(A, -J.T @ fx)
-                xn = x + step
-                if guard(xn):
-                    fn, pn = F(xn)
-                    nn = float(np.max(np.abs(fn)))
-                    if nn < nrm:
-                        accepted = True
-                        break
-                lam *= 10.0
-            if not accepted:
-                return None, it + 1
+        else:
+            return None, it + 1
         x, fx, parts, nrm = xn, fn, pn, nn
     return (x if nrm < _NEWTON_TOL else None), _NEWTON_MAX_ITER
 
@@ -570,11 +561,7 @@ def _solve_core(ellipsoid, data: _Intake, config):
                 continue
             scalar = float(x[4 * n + 2])
             params = _assemble(x, n, rpat)
-            try:
-                ok, report = _validate(params, sub, kind, z, tg,
-                                       scalar, config)
-            except (ValueError, extremal_map.ParameterError):
-                continue
+            ok, report = _validate(params, sub, kind, z, tg, scalar, config)
             if not ok:
                 continue
             candidates.append((pat, scalar))

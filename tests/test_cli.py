@@ -261,6 +261,23 @@ def test_solve_short_flag_pattern_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad flag pattern")
 
 
+@pytest.mark.parametrize("flag, value", [("--grid", "100"),
+                                         ("--starts", "-1")])
+def test_solve_unusable_config_is_an_input_error(tmp_path, flag, value):
+    # exit 2 is kept for validation failures; a bad option fails at once
+    inp = tmp_path / "prob.json"
+    write_json(inp, {
+        "ellipsoid": {"p": [1.0, 2.0]},
+        "two_point": {"z": [[0.1, 0.0], [0.2, 0.1]],
+                      "w": [[0.3, -0.1], [0.1, 0.0]]},
+    })
+    proc = run_cli("solve", "--input", str(inp), flag, value)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert value in proc.stderr
+
+
 def test_outputs_are_deterministic(tmp_path):
     inp = tmp_path / "prob.json"
     write_json(inp, {

@@ -224,9 +224,69 @@ def test_nonconvex_search_enumerates_every_pattern():
     E = Ellipsoid((0.3, 1.0))
     res = solve_two_point(E, TwoPointProblem((0.05, 0.2j), (0.1, -0.1)))
     assert not res.certified
-    assert res.diagnostics.patterns_tried == 4
-    assert res.diagnostics.starts_tried >= 4
+    d = res.diagnostics
+    assert (d.patterns_tried, d.starts_tried, d.newton_iterations) == \
+        (4, 28, 468)
+    assert d.pattern == (0, 1)
+    assert res.scalar == 0.2727116147882784
     assert_gates(res)
+
+
+def minkowski(p, v):
+    """The Minkowski functional h of E(p) at v, by bisection:
+    sum_j (|v_j| / h)^(2 p_j) = 1, with the left side decreasing in h."""
+    p, av = np.asarray(p), np.abs(np.asarray(v))
+
+    def inside(h):
+        return np.sum((av / h) ** (2 * p)) <= 1.0
+
+    lo, hi = 0.0, 1.0
+    while not inside(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+
+
+@pytest.mark.parametrize("p, v", [
+    ((0.25, 0.25, 1.0), (0.1, 0.05j, 0.2 - 0.1j)),
+    ((0.3, 0.45), (0.2 + 0.1j, -0.15)),
+    ((0.3, 1.0), (0.1, -0.1)),
+])
+def test_nonconvex_origin_scalar_is_the_minkowski_functional(p, v):
+    # at z = 0 the extremal disc of the balanced domain E(p) is linear,
+    # so sigma = h(w) and t = 1 / h(X), also for p_j < 1/2
+    E, z = Ellipsoid(p), (0.0,) * len(p)
+    tp = solve_two_point(E, TwoPointProblem(z, v))
+    pd = solve_point_direction(E, PointDirectionProblem(z, v))
+    h = minkowski(p, v)
+    assert not tp.certified and not pd.certified
+    assert abs(tp.scalar - h) < 1e-10
+    assert abs(pd.scalar - 1.0 / h) < 1e-10
+    assert_gates(tp)
+    assert_gates(pd)
+
+
+def test_flag_enumeration_refuses_more_than_the_dimension_limit(monkeypatch):
+    def no_start(*args):
+        raise AssertionError("a Newton start ran")
+
+    monkeypatch.setattr(solver, "_damped_newton", no_start)
+    n = solver._MAX_PATTERNS_DIM + 1
+    prob = TwoPointProblem((0.1,) * n, (0.1j,) * n)
+    with pytest.raises(SolveError,
+                       match=f"limit {solver._MAX_PATTERNS_DIM}"):
+        solve_two_point(Ellipsoid((1.0,) * n), prob)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("boundary_grid", 100), ("boundary_grid", 4), ("starts", -1),
+])
+def test_solver_config_rejects_unusable_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_baseline_instance_search_counts():
