@@ -223,10 +223,10 @@ def fit_extremal_family(
             f"samples must have shape (n, M) with n = {ellipsoid.dim}"
         )
     n, M = S.shape
-    if M < max(8 * m, 16):
-        raise ValueError(f"need at least {max(8 * m, 16)} samples per component")
     if m < 1:
         raise ValueError("band degree m must be >= 1")
+    if M < max(8 * m, 16):
+        raise ValueError(f"need at least {max(8 * m, 16)} samples per component")
     if len(zeros) != n:
         raise ValueError(f"zeros must list {n} components")
     # column j of the zero matrix holds the pinned zeros of component j,
@@ -281,6 +281,12 @@ def fit_extremal_family(
         return np.sum(np.log(np.maximum(
             np.abs(1.0 - np.conj(z)[..., None] * zeta), 1e-300)), axis=0)
 
+    def log_factor_slopes(z):
+        # zeta / w for w = 1 - conj(z) zeta, 0 where log_factors clamps |w|
+        w = 1.0 - np.conj(z)[..., None] * zeta
+        return np.divide(zeta, w, out=np.zeros_like(w),
+                         where=np.abs(w) > 1e-300)
+
     def model(x):
         """Model log |phi_j| on the whole grid, shape (n, M)."""
         rho, alpha, a0 = unpack(x)
@@ -289,6 +295,24 @@ def fit_extremal_family(
 
     def residual(x):
         return model(x)[masks] - data
+
+    # d model_j / d log |1 - conj(z_k) zeta| for the k-th zero of the
+    # unknown vector: 1 / p_j for a free zero of component j, -1 / p_j on
+    # every component for a tied zero, 0 elsewhere
+    nfree = np.count_nonzero(free)
+    owner = np.nonzero(free.T)[0]
+    weight = np.zeros((n, 1, nfree + m))
+    weight[owner, 0, np.arange(nfree)] = 1.0 / p[owner]
+    weight[:, 0, nfree:] = -1.0 / p[:, None]
+    rho_columns = np.eye(n)[np.nonzero(masks)[0]]
+
+    def jacobian(x):
+        """d residual / dx, shape (usable samples, unknowns)."""
+        # d log |w| = -Re(zeta / w) d(re z) - Im(zeta / w) d(im z), so the
+        # complex -weight zeta / w, viewed as floats, holds each zero's
+        # (re, im) column pair
+        q = log_factor_slopes(x[n::2] + 1j * x[n + 1::2]).T
+        return np.hstack((rho_columns, (-weight * q)[masks].view(float)))
 
     def start(rng=None):
         # a random start draws each zero in turn, radius before angle
@@ -310,7 +334,7 @@ def fit_extremal_family(
     for trial in range(7):
         x0 = start(None if trial == 0 else rng)
         try:
-            sol = least_squares(residual, x0, method="lm",
+            sol = least_squares(residual, x0, jac=jacobian, method="lm",
                                 xtol=1e-15, ftol=1e-15, gtol=1e-15,
                                 max_nfev=4000)
         except ValueError:

@@ -277,3 +277,109 @@ def test_fit_rejects_too_many_non_finite_samples():
     with pytest.raises(FitPreconditionError,
                        match="^too many non-finite candidate samples$"):
         fit_extremal_family(samples, ((), ()), Ellipsoid((1.0, 1.0)), 1)
+
+
+def _spy_least_squares(monkeypatch):
+    """Forward `boundary.least_squares`; record each run's (fun, jac, x0,
+    result, residual calls)."""
+    real = boundary.least_squares
+    runs = []
+
+    def spying(fun, x0, jac="2-point", **kwargs):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return fun(x)
+
+        res = real(counted, x0, jac=jac, **kwargs)
+        runs.append((fun, jac, x0, res, calls[0]))
+        return res
+
+    monkeypatch.setattr(boundary, "least_squares", spying)
+    return runs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fit_jacobian_matches_central_differences(monkeypatch, n, m, pinned):
+    rng = np.random.default_rng(100 * n + 10 * m + pinned)
+    p = tuple(rng.uniform(0.6, 2.5, n))
+    E = Ellipsoid(p)
+    params = em.random_valid_params(rng, p, m)
+    zeros = em.component_zeros(params) if pinned else ((),) * n
+    runs = _spy_least_squares(monkeypatch)
+    fit_extremal_family(em.boundary_trace(params, E, 64), zeros, E, m)
+    fun, jac, x0, _, _ = runs[0]
+    # the first start moved off itself, away from the fitted solution
+    x = x0 + 0.05 * rng.standard_normal(x0.size)
+    J = jac(x)
+    h = 1e-6
+    diff = np.empty_like(J)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        diff[:, i] = (fun(x + e) - fun(x - e)) / (2 * h)
+    assert J.shape == (fun(x).size, x.size)
+    assert np.max(np.abs(J - diff)) <= 1e-6 * np.max(np.abs(diff))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_jacobian_is_finite_where_a_factor_vanishes(monkeypatch):
+    # a free zero at the sample zeta = 1 makes its factor 0 there; the
+    # residual clamps that log-modulus, and its Jacobian entries are 0
+    runs = _spy_least_squares(monkeypatch)
+    fit_extremal_family(*_flat_fit_input()[:2], Ellipsoid((1.0, 2.0)), 2)
+    fun, jac, x0, _, _ = runs[0]
+    x = x0.copy()
+    x[2:4] = (1.0, 0.0)  # component 0's free zero
+    J = jac(x)
+    assert np.all(np.isfinite(fun(x))) and np.all(np.isfinite(J))
+    assert np.all(J[0, 2:4] == 0.0)
+    assert np.all(J[1:64, 2] != 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_spends_no_residuals_on_finite_differences(monkeypatch):
+    rng = np.random.default_rng(2)
+    p = tuple(rng.uniform(0.6, 2.5, 2))
+    E = Ellipsoid(p)
+    params = em.random_valid_params(rng, p, 2)
+    trace = em.boundary_trace(params, E, 256)
+    runs = _spy_least_squares(monkeypatch)
+    rep = fit_extremal_family(trace, em.component_zeros(params), E, 2)
+    assert rep.in_family
+    for _, jac, _, res, calls in runs:
+        assert callable(jac)
+        # scipy skips a call at an unchanged x, so a run may make one
+        # call fewer than MINPACK's count; a finite-difference Jacobian
+        # would add one call per unknown
+        assert 0 < calls <= res.nfev
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_data_of_a_higher_band_degree():
+    # a member of band degree 2, one zero pinned per component, fitted at
+    # m = 1: the fit cannot reach the data and says so
+    rng = np.random.default_rng(1)
+    E = Ellipsoid((1.0, 2.0))
+    params = em.random_valid_params(rng, E.exponents, 2)
+    trace = em.boundary_trace(params, E, 64)
+    zeros = tuple(z[:1] for z in em.component_zeros(params))
+    rep = fit_extremal_family(trace, zeros, E, 1)
+    assert rep.in_family is False
+    assert rep.rms_total > 1e-2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m,M,message", [
+    (0, 8, "^band degree m must be >= 1$"),
+    (1, 8, "^need at least 16 samples per component$"),
+    (3, 16, "^need at least 24 samples per component$"),
+], ids=["m0-M8", "m1-M8", "m3-M16"])
+def test_fit_checks_the_degree_before_the_grid(m, M, message):
+    zeta = np.exp(2j * np.pi * np.arange(M) / M)
+    with pytest.raises(ValueError, match=message):
+        fit_extremal_family(zeta[None, :], ((),), Ellipsoid((1.0,)), m)

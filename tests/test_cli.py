@@ -305,3 +305,25 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_fit_rejects_data_of_a_higher_band_degree(tmp_path):
+    # a member of band degree 2 fitted at m = 1, as in test_boundary.py
+    rng = np.random.default_rng(1)
+    E = Ellipsoid((1.0, 2.0))
+    params = em.random_valid_params(rng, E.exponents, 2)
+    trace = em.boundary_trace(params, E, 64)
+    inp = tmp_path / "fit.json"
+    write_json(inp, {
+        "ellipsoid": E.to_json(),
+        "m": 1,
+        "samples": [[em.pair(v) for v in row] for row in trace],
+        "zeros": [[em.pair(z) for z in zs[:1]]
+                  for zs in em.component_zeros(params)],
+    })
+    proc = run_cli("fit", "--input", str(inp))
+    assert proc.returncode == 2, proc.stderr
+    res = json.loads(proc.stdout)
+    assert res["status"] == "rejected"
+    assert res["in_family"] is False
+    assert res["rms_total"] > 1e-2

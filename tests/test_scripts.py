@@ -43,3 +43,18 @@ def test_factor_round_trip_prints_one_row_per_set():
     assert [line.split()[0] for line in lines[1:]] == [
         "family-like", "circle", "generic", "close-1e-04", "close-1e-03",
         "close-3e-03", "close-1e-02"]
+
+
+def test_fit_round_trip_counts_the_fits():
+    proc = run_script("fit_round_trip.py", "--count", "5")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["members", "misses", "worst_rms", "lm_runs",
+                              "nfev", "residuals", "jacobians", "seconds",
+                              "first", "missed"]
+    members, misses, _, runs, nfev, residuals, jacobians = \
+        [float(v) for v in row.split()[:7]]
+    assert (members, misses) == (5, 0)
+    # the counts are machine-independent; the closed-form Jacobian
+    # leaves at most one residual call per evaluation LM counted
+    assert runs >= 5 and jacobians >= runs and 0 < residuals <= nfev
