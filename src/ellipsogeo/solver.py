@@ -246,14 +246,18 @@ _NEWTON_MAX_ITER = 70
 _NEWTON_TOL = 1e-12      # max-norm residual at which a start has converged
 
 
-def _damped_newton(F, jac, x0, guard):
+def _damped_newton(F, jac, x0, guard, reach):
     """Newton with a backtracking (Armijo) line search.
 
     F(x) returns the residual and the intermediate values from which
     jac builds the Jacobian at the same x.  Returns (x, iterations) on
     convergence, (None, iterations) on failure.  `guard` rejects
-    out-of-box iterates before F is called.  A start fails as soon as
-    its line search finds no decrease.
+    out-of-box iterates before F is called.  The line search tries the
+    rungs 1, 1/2, 1/4, ... down to 1e-12, but starts at the first rung
+    not above 2 reach(x, step): every rung above it takes a zero out of
+    the guard's disc (see `_make_reach`), so the accepted step is the
+    one the full ladder would accept.  A start fails as soon as its
+    line search finds no decrease.
     """
     x = np.array(x0, dtype=float)
     if not guard(x):
@@ -265,6 +269,9 @@ def _damped_newton(F, jac, x0, guard):
             return x, it
         step, *_ = np.linalg.lstsq(jac(parts), -fx, rcond=None)
         t = 1.0
+        skip = 2.0 * reach(x, step)
+        while t > skip and t >= 1e-12:
+            t *= 0.5
         while t >= 1e-12:
             xn = x + t * step
             if guard(xn):
@@ -341,68 +348,94 @@ def _system(kind, z, tg, rpat, p):
                             [c1.real, c1.imag, c2]])
         return f, (alpha, alpha0, s, a, wgt, phi0, second) + extra
 
-    def block(val, d, dbar, d0bar, ds):
-        """Complex rows of a component residual over the real columns."""
-        C = np.zeros((n, cols), dtype=complex)
-        C[idx, idx] = val                       # d/d(rho_j): linear in a_j
-        C[idx, n + idx] = 1j * val              # d/d(psi_j)
-        C[idx, 2 * n + 2 * idx] = d + dbar
-        C[idx, 2 * n + 2 * idx + 1] = 1j * (d - dbar)
-        C[:, 4 * n] = d0bar                     # antiholomorphic in alpha0
-        C[:, 4 * n + 1] = -1j * d0bar
-        C[:, 4 * n + 2] = ds
-        return np.concatenate([C.real, C.imag])
+    # Component rows hold, per residual (phi(0), then the second datum)
+    # and component j, seven complex entries: val at d/d(rho_j) (linear
+    # in a_j), 1j val at d/d(psi_j), d + dbar and 1j (d - dbar) at the
+    # two columns of alpha_j, d0bar and -1j d0bar at those of alpha0
+    # (antiholomorphic), and ds at the scalar.  `ent` stacks them as
+    # (entry, residual, component); `at` is the flat Jacobian position
+    # of each of its real and imaginary parts, built once.
+    ent_cols = np.stack([idx, n + idx, 2 * n + 2 * idx, 2 * n + 2 * idx + 1,
+                         np.full(n, 4 * n), np.full(n, 4 * n + 1),
+                         np.full(n, 4 * n + 2)])
+    ent_rows = (2 * n * np.arange(2)[:, None, None]      # residual
+                + n * np.arange(2)[None, None, :]        # real, imaginary
+                + idx[None, :, None])
+    at = (ent_rows[None] * cols
+          + ent_cols[:, None, :, None]).ravel()
+    inv_p = 1.0 / p
+    full_less_inv_p = full - inv_p
+    inv_p_less_1 = inv_p - 1.0
+    # the tying rows, and the columns of re alpha_j and im alpha_j
+    t0, t1, t2 = 4 * n, 4 * n + 1, 4 * n + 2
+    are, aim = slice(2 * n, 4 * n, 2), slice(2 * n + 1, 4 * n, 2)
 
     def jacobian(parts):
         alpha, alpha0, s, a, wgt, phi0, second, *extra = parts
-        zero = np.zeros(n, dtype=complex)
-        rows0 = block(phi0, np.where(full, -a, 0.0), zero, zero, zero)
+        ent = np.zeros((7, 2, n), dtype=complex)
+        d, dbar = np.zeros((2, 2, n), dtype=complex)
+        ent[0, 0] = phi0
+        d[0] = np.where(full, -a, 0.0)
+        ent[0, 1] = second
         if two_point:
             num, den, h = extra
-            d = np.where(full, -a * h / num, 0.0)
-            dbar = second * s / num * (full - 1.0 / p)
-            d0bar = second * s / (p * den)
-            ds = (np.where(full, a * h * (1.0 - np.abs(alpha) ** 2) / num ** 2,
-                           0.0)
-                  + second / p * (np.conj(alpha0) / den
-                                  - np.conj(alpha) / num))
+            d[1] = np.where(full, -a * h / num, 0.0)
+            dbar[1] = second * s / num * full_less_inv_p
+            ent[4, 1] = second * s / (p * den)
+            ent[6, 1] = (np.where(full, a * h * (1.0 - np.abs(alpha) ** 2)
+                                  / num ** 2, 0.0)
+                         + second / p * (np.conj(alpha0) / den
+                                         - np.conj(alpha) / num))
         else:
             (hp,) = extra
-            d = np.where(full, a * (-np.conj(alpha) - hp), 0.0)
-            dbar = np.where(full, a * alpha * (1.0 / p - 1.0), -a / p)
-            d0bar = np.where(full, -a * alpha / p, a / p)
-            ds = -tg
-        rows1 = block(second, d, dbar, d0bar, ds)
-        tie = np.zeros((3, cols))
+            d[1] = np.where(full, a * (-np.conj(alpha) - hp), 0.0)
+            dbar[1] = np.where(full, a * alpha * inv_p_less_1, -a / p)
+            ent[4, 1] = np.where(full, -a * alpha / p, a / p)
+            ent[6, 1] = -tg
+        np.multiply(1j, ent[0], out=ent[1])
+        np.add(d, dbar, out=ent[2])
+        np.multiply(1j, d - dbar, out=ent[3])
+        np.multiply(-1j, ent[4], out=ent[5])
+        J = np.zeros((cols, cols))
+        J.ravel()[at] = ent.view(float).ravel()
         dw = 2.0 * p * wgt                      # d(w_j)/d(rho_j)
-        tie[0, idx] = (dw * alpha).real
-        tie[1, idx] = (dw * alpha).imag
-        tie[2, idx] = dw * (1.0 + np.abs(alpha) ** 2)
-        tie[0, 2 * n + 2 * idx] = wgt
-        tie[1, 2 * n + 2 * idx + 1] = wgt
-        tie[2, 2 * n + 2 * idx] = 2.0 * wgt * alpha.real
-        tie[2, 2 * n + 2 * idx + 1] = 2.0 * wgt * alpha.imag
-        tie[0, 4 * n] = tie[1, 4 * n + 1] = -1.0
-        tie[2, 4 * n] = -2.0 * alpha0.real
-        tie[2, 4 * n + 1] = -2.0 * alpha0.imag
-        return np.concatenate([rows0, rows1, tie])
+        dwa = dw * alpha
+        J[t0, :n] = dwa.real
+        J[t1, :n] = dwa.imag
+        J[t2, :n] = dw * (1.0 + np.abs(alpha) ** 2)
+        J[t0, are] = wgt
+        J[t1, aim] = wgt
+        J[t2, are] = 2.0 * wgt * alpha.real
+        J[t2, aim] = 2.0 * wgt * alpha.imag
+        J[t0, 4 * n] = J[t1, 4 * n + 1] = -1.0
+        J[t2, 4 * n] = -2.0 * alpha0.real
+        J[t2, 4 * n + 1] = -2.0 * alpha0.imag
+        return J
 
     return residual, jacobian
+
+
+_ZERO_RADIUS = 1.0 - 1e-12    # the guard's disc for the zeros alpha_j
 
 
 def _make_guard(n, scalar_hi):
     """Box test on an iterate, in plain Python: it runs on every trial step.
 
     The tests only reject, so their order is free: the zeros leaving the
-    disc, by far the most common rejection, come first, and NaN (which
-    fails no comparison) is caught by the finiteness test at the end.
+    disc come first (most of those rungs are skipped before the guard
+    runs, see `_make_reach`), and NaN (which fails no comparison) is
+    caught by the finiteness test at the end.  A modulus too large for a
+    float raises OverflowError in `abs`, and rejects too.
     """
     def guard(x):
         v = x.tolist()
-        for re, im in zip(v[2 * n: 4 * n: 2], v[2 * n + 1: 4 * n: 2]):
-            if abs(complex(re, im)) > 1.0 - 1e-12:
+        try:
+            for re, im in zip(v[2 * n: 4 * n: 2], v[2 * n + 1: 4 * n: 2]):
+                if abs(complex(re, im)) > _ZERO_RADIUS:
+                    return False
+            if abs(complex(v[4 * n], v[4 * n + 1])) > 1.0 - 1e-9:
                 return False
-        if abs(complex(v[4 * n], v[4 * n + 1])) > 1.0 - 1e-9:
+        except OverflowError:
             return False
         for rho in v[:n]:
             if abs(rho) > 30.0:
@@ -412,6 +445,42 @@ def _make_guard(n, scalar_hi):
         return all(map(math.isfinite, v))
 
     return guard
+
+
+def _make_reach(n):
+    """How far a Newton step can go before a zero leaves the guard's disc.
+
+    reach(x, step) is the smallest over the zeros alpha_j (direction d_j
+    in `step`) of the positive root t_j of |alpha_j + t d_j| = r, with r
+    the guard's radius, or inf.  |alpha_j + t d_j| is convex in t, so at
+    t >= 2 t_j it exceeds r by at least r - |alpha_j|, which is above
+    5e-13 whenever the margin r^2 - |alpha_j|^2 is at least 1e-12: far
+    beyond the rounding of x + t * step, so the guard rejects every such
+    rung.  A zero with a smaller margin (or a non-finite one) skips
+    nothing.  Plain Python floats, like the guard.
+    """
+    r2 = _ZERO_RADIUS ** 2
+
+    def reach(x, step):
+        v = x.tolist()
+        s = step.tolist()
+        best = math.inf
+        for a, b, c, d in zip(v[2 * n: 4 * n: 2], v[2 * n + 1: 4 * n: 2],
+                              s[2 * n: 4 * n: 2], s[2 * n + 1: 4 * n: 2]):
+            margin = r2 - (a * a + b * b)
+            dd = c * c + d * d
+            if not (margin >= 1e-12 and dd * margin > 0.0):
+                continue
+            # the roots of dd t^2 + 2 ad t - margin = 0 have opposite
+            # signs; take the positive one without cancellation
+            ad = a * c + b * d
+            root = math.sqrt(ad * ad + dd * margin)
+            t = margin / (ad + root) if ad >= 0.0 else (root - ad) / dd
+            if t < best:
+                best = t
+        return best
+
+    return reach
 
 
 def _second_datum(kind, z, tg):
@@ -538,6 +607,7 @@ def _solve_core(ellipsoid, data: _Intake, config):
     beta, scalar0, scalar_hi = _second_datum(kind, z, tg)
     rng = np.random.default_rng(config.seed)
     guard = _make_guard(n, scalar_hi)
+    reach = _make_reach(n)
     best = None
     candidates = []
     patterns = _patterns(z, data.pattern)
@@ -555,7 +625,7 @@ def _solve_core(ellipsoid, data: _Intake, config):
         for trial in range(config.starts + 1):
             x0 = x_base if trial == 0 else _perturb(x_base, rng, n, scalar_hi)
             starts_tried += 1
-            x, iters = _damped_newton(F, jac, x0, guard)
+            x, iters = _damped_newton(F, jac, x0, guard, reach)
             newton_iters += iters
             if x is None:
                 continue

@@ -58,3 +58,19 @@ def test_fit_round_trip_counts_the_fits():
     # the counts are machine-independent; the closed-form Jacobian
     # leaves at most one residual call per evaluation LM counted
     assert runs >= 5 and jacobians >= runs and 0 < residuals <= nfev
+
+
+def test_solve_draw_prints_one_line_per_problem():
+    proc = run_script("solve_draw.py", "--count", "4")
+    assert proc.returncode == 0, proc.stderr
+    *lines, totals = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["0", "tp"], ["1", "pd"], ["2", "tp"], ["3", "pd"]]
+    assert all(line.split()[3] in ("ok", "fail") for line in lines)
+    fields = dict(item.split("=") for item in totals.split())
+    assert list(fields) == ["problems", "failures", "newton_iterations",
+                            "residuals", "guards", "seconds"]
+    assert fields["problems"] == "4"
+    # every Newton iteration evaluates at least one residual and guards it
+    iters = int(fields["newton_iterations"])
+    assert 0 < iters <= int(fields["residuals"]) <= int(fields["guards"])

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ellipsogeo import solver
 from ellipsogeo.ellipsoid import Ellipsoid
@@ -192,6 +193,199 @@ def test_closed_form_jacobian_matches_central_differences(kind, n):
             xm[k] -= h
             fd[:, k] = (F(xp)[0] - F(xm)[0]) / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-8 * max(1.0, np.max(np.abs(J))), pat
+
+
+def block_jacobian(kind, tg, rpat, p, parts):
+    """The Jacobian assembled from complex (n, 4n+3) blocks per residual."""
+    n = rpat.size
+    full = rpat == 1
+    idx = np.arange(n)
+    cols = 4 * n + 3
+
+    def block(val, d, dbar, d0bar, ds):
+        C = np.zeros((n, cols), dtype=complex)
+        C[idx, idx] = val
+        C[idx, n + idx] = 1j * val
+        C[idx, 2 * n + 2 * idx] = d + dbar
+        C[idx, 2 * n + 2 * idx + 1] = 1j * (d - dbar)
+        C[:, 4 * n] = d0bar
+        C[:, 4 * n + 1] = -1j * d0bar
+        C[:, 4 * n + 2] = ds
+        return np.concatenate([C.real, C.imag])
+
+    alpha, alpha0, s, a, wgt, phi0, second, *extra = parts
+    zero = np.zeros(n, dtype=complex)
+    rows0 = block(phi0, np.where(full, -a, 0.0), zero, zero, zero)
+    if kind == "two-point":
+        num, den, h = extra
+        d = np.where(full, -a * h / num, 0.0)
+        dbar = second * s / num * (full - 1.0 / p)
+        d0bar = second * s / (p * den)
+        ds = (np.where(full, a * h * (1.0 - np.abs(alpha) ** 2) / num ** 2,
+                       0.0)
+              + second / p * (np.conj(alpha0) / den - np.conj(alpha) / num))
+    else:
+        (hp,) = extra
+        d = np.where(full, a * (-np.conj(alpha) - hp), 0.0)
+        dbar = np.where(full, a * alpha * (1.0 / p - 1.0), -a / p)
+        d0bar = np.where(full, -a * alpha / p, a / p)
+        ds = -tg
+    rows1 = block(second, d, dbar, d0bar, ds)
+    tie = np.zeros((3, cols))
+    dw = 2.0 * p * wgt
+    tie[0, idx] = (dw * alpha).real
+    tie[1, idx] = (dw * alpha).imag
+    tie[2, idx] = dw * (1.0 + np.abs(alpha) ** 2)
+    tie[0, 2 * n + 2 * idx] = wgt
+    tie[1, 2 * n + 2 * idx + 1] = wgt
+    tie[2, 2 * n + 2 * idx] = 2.0 * wgt * alpha.real
+    tie[2, 2 * n + 2 * idx + 1] = 2.0 * wgt * alpha.imag
+    tie[0, 4 * n] = tie[1, 4 * n + 1] = -1.0
+    tie[2, 4 * n] = -2.0 * alpha0.real
+    tie[2, 4 * n + 1] = -2.0 * alpha0.imag
+    return np.concatenate([rows0, rows1, tie])
+
+
+@pytest.mark.parametrize("kind", ["two-point", "point-direction"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_jacobian_is_bit_identical_to_the_block_form(kind, n):
+    # the Newton path depends on every bit of the Jacobian, signed zeros
+    # included (1j * 0 and -1j * 0 differ), so the real-matrix assembly
+    # must equal the complex block form byte for byte
+    rng = np.random.default_rng(100 * n + len(kind))
+    pats = (list(itertools.product((1, 0), repeat=n)) if n <= 3
+            else [tuple(rng.integers(0, 2, n)) for _ in range(8)])
+    for pat in pats:
+        rpat = np.asarray(pat)
+        p = rng.uniform(0.25, 3.0, n)
+        z = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        tg = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # real data give seeds with exactly zero imaginary parts
+        for zz in (z, z.real + 0j):
+            beta, scalar0, scalar_hi = _second_datum(kind, zz, tg)
+            F, jac = _system(kind, zz, tg, rpat, p)
+            x0 = _seed(zz, beta, scalar0, rpat, p)
+            for x in (x0, _perturb(x0, rng, n, scalar_hi),
+                      _perturb(x0, rng, n, scalar_hi)):
+                parts = F(x)[1]
+                want = block_jacobian(kind, tg, rpat, p, parts)
+                assert jac(parts).tobytes() == want.tobytes(), pat
+
+
+ZERO_RADIUS = solver._ZERO_RADIUS
+
+
+def zero_inside_the_guard():
+    """A zero exactly on the guard's circle, within 1e-13 to 1e-3 of it,
+    or anywhere in the disc of radius 0.99."""
+    on = st.sampled_from([complex(ZERO_RADIUS, 0.0), complex(0.0, ZERO_RADIUS),
+                          complex(-ZERO_RADIUS, 0.0)])
+    angle = st.floats(0.0, 2 * np.pi)
+    near = st.tuples(st.floats(-13.0, -3.0), angle).map(
+        lambda ea: (ZERO_RADIUS - 10.0 ** ea[0]) * np.exp(1j * ea[1]))
+    inside = st.tuples(st.floats(0.0, 0.99), angle).map(
+        lambda ra: ra[0] * np.exp(1j * ra[1]))
+    return st.one_of(on, near, inside)
+
+
+@st.composite
+def line_search_case(draw):
+    n = draw(st.integers(1, 3))
+    alpha = np.array(draw(st.lists(zero_inside_the_guard(),
+                                   min_size=n, max_size=n)))
+    x = solver._pack(np.zeros(n), np.zeros(n), alpha, 0.1 + 0.2j, 0.5)
+    if draw(st.booleans()):
+        # any finite step
+        entry = st.floats(allow_nan=False, allow_infinity=False)
+        return x, np.array(draw(st.lists(entry, min_size=x.size,
+                                         max_size=x.size)))
+    # a step the other guard bounds let through, with the zeros moving
+    # by 1e-8 to 1e8
+    step = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=x.size,
+                                  max_size=x.size)))
+    scale = st.tuples(st.floats(-8.0, 8.0), st.sampled_from([-1.0, 1.0]))
+    for k in range(2 * n, 4 * n):
+        e, sign = draw(scale)
+        step[k] = sign * 10.0 ** e
+    return x, step
+
+
+def line_search(x, step, guard, reach):
+    """One `_damped_newton` step with `step` as its Newton step and every
+    point the guard lets through accepted: (x after the step, residual
+    calls).  The result is None when no rung down to 1e-12 passes."""
+    calls = []
+
+    def F(y):
+        calls.append(y)
+        return (-step if len(calls) == 1 else np.zeros_like(step)), None
+
+    got, iters = solver._damped_newton(F, lambda parts: np.eye(x.size), x,
+                                       guard, reach)
+    assert iters == 1
+    return got, len(calls)
+
+
+@given(line_search_case())
+@settings(max_examples=400, deadline=None)
+@example((solver._pack(np.zeros(1), np.zeros(1), np.array([0.5]), 0j, 0.5),
+          np.array([0.0, 0.0, 1e20, 0.0, 0.0, 0.0, 0.0])))
+def test_reach_never_changes_the_accepted_rung(case):
+    x, step = case
+    n = (x.size - 3) // 4
+    guard = solver._make_guard(n, 1.0 - 1e-9)
+    assume(guard(x) and np.max(np.abs(step)) >= 1e-11)
+    # the step _damped_newton takes, and the first rung of the full
+    # ladder 1, 1/2, ... down to 1e-12 that the guard lets through
+    newton_step = np.linalg.lstsq(np.eye(x.size), step, rcond=None)[0]
+    t = 1.0
+    while t >= 1e-12 and not guard(x + t * newton_step):
+        t *= 0.5
+    want = x + t * newton_step if t >= 1e-12 else None
+
+    for reach in (solver._make_reach(n), lambda x, step: np.inf):
+        got, calls = line_search(x, step, guard, reach)
+        if want is None:
+            assert got is None and calls == 1
+        else:
+            assert got.tobytes() == want.tobytes() and calls == 2
+
+
+def test_guard_rejects_a_modulus_beyond_the_largest_float():
+    # abs(complex(1e308, 1e308)) raises OverflowError instead of
+    # returning a modulus; the guard must reject such a point, not raise
+    guard = solver._make_guard(1, 1.0 - 1e-9)
+    for alpha, alpha0 in ((1e308 + 1e308j, 0.1j), (0.5, 1e308 - 1e308j)):
+        x = solver._pack(np.zeros(1), np.zeros(1), np.array([alpha]),
+                         alpha0, 0.5)
+        assert not guard(x)
+
+
+def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
+    # the pinned non-convex search of the test below, with the guard and
+    # the residual counted: the line search starts at the first rung the
+    # zeros allow, so only the guard's work falls (9846 calls when every
+    # rung from 1 down was tested) and every residual stays
+    counts = {"guard": 0, "residual": 0}
+    make_guard, system = solver._make_guard, solver._system
+
+    def counted(fun, key):
+        def call(*args):
+            counts[key] += 1
+            return fun(*args)
+        return call
+
+    def counting_system(*args):
+        F, jac = system(*args)
+        return counted(F, "residual"), jac
+
+    monkeypatch.setattr(solver, "_make_guard",
+                        lambda *args: counted(make_guard(*args), "guard"))
+    monkeypatch.setattr(solver, "_system", counting_system)
+    res = solve_two_point(Ellipsoid((0.3, 1.0)),
+                          TwoPointProblem((0.05, 0.2j), (0.1, -0.1)))
+    assert res.diagnostics.newton_iterations == 468
+    assert (counts["guard"], counts["residual"]) == (1786, 1334)
 
 
 @pytest.mark.parametrize("p, kind, z, tg", [
