@@ -7,16 +7,19 @@ grids for the last solve into --outdir for external plotting.
 """
 
 import argparse
+import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from ellipsogeo import cli
 from ellipsogeo.ellipsoid import Ellipsoid
-from ellipsogeo.extremal_map import boundary_trace, evaluate
+from ellipsogeo.extremal_map import evaluate, params_to_json
 from ellipsogeo.solver import (
     TwoPointProblem,
     ball_oracle,
@@ -54,17 +57,19 @@ def showcase(outdir):
         otxt = f"{oracle:.10f}" if oracle is not None else "-"
         print(f"{name:<20}{sigma:>14.10f}{otxt:>14}{dt:>10.2f}")
 
-    # dump the p=(1,2) geodesic for plotting
+    # dump the p=(1,2) geodesic for plotting; the boundary grid is the
+    # CLI's `eval --boundary` CSV
     os.makedirs(outdir, exist_ok=True)
-    M = 512
-    trace = boundary_trace(res.params, E3, M)
-    with open(os.path.join(outdir, "boundary.csv"), "w") as fh:
-        fh.write("angle," + ",".join(f"re_{j},im_{j}" for j in range(2))
-                 + "\n")
-        for i in range(M):
-            vals = ",".join(f"{float(trace[j, i].real)!r},"
-                            f"{float(trace[j, i].imag)!r}" for j in range(2))
-            fh.write(f"{2 * np.pi * i / M!r},{vals}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle.json")
+        with open(bundle, "w", encoding="utf-8") as fh:
+            json.dump({"ellipsoid": E3.to_json(),
+                       "params": params_to_json(res.params)}, fh)
+        code = cli.main(["eval", "--input", bundle, "--boundary",
+                         "--grid", "512", "--output",
+                         os.path.join(outdir, "boundary.csv")])
+    if code != 0:
+        sys.exit(code)
     radii = np.linspace(0.0, res.scalar, 64)
     inner = np.stack([evaluate(res.params, E3, r) for r in radii]).T
     with open(os.path.join(outdir, "segment.csv"), "w") as fh:

@@ -1,128 +1,15 @@
 """Extremal analytic discs and complex geodesics in complex ellipsoids."""
 
-from .ellipsoid import (
-    Ellipsoid,
-    GradientUndefinedError,
-    PointClass,
-    PointClassification,
-)
-from .extremal_map import (
-    ExtremalMapParams,
-    ParameterError,
-    boundary_defect,
-    boundary_defect_info,
-    BoundaryDefectInfo,
-    boundary_trace,
-    component_zeros,
-    constraint_residual,
-    derivative,
-    evaluate,
-    params_from_json,
-    params_to_json,
-    random_valid_params,
-)
-from .polyfactor import (
-    CircleRationalForm,
-    FactorError,
-    SelfInversivePoly,
-    check_self_inversive,
-    factor,
-    reconstruct_from_boundary,
-)
-from .boundary import (
-    FactorizationTriple,
-    FamilyFitReport,
-    FitPreconditionError,
-    FourierCoefficients,
-    OuterFunction,
-    analyticity_defect,
-    blaschke_eval,
-    fit_extremal_family,
-    fourier_coefficients,
-    outer_from_log_modulus,
-)
-from .functionals import (
-    BoundaryFunctional,
-    ProblemSpec,
-    build_point_direction_problem,
-    build_two_point_problem,
-    eval_functional,
-    independence_rank,
-    type_defect,
-)
-from .solver import (
-    BruteForceError,
-    BruteForceResult,
-    PointDirectionProblem,
-    ResidualReport,
-    SolveDiagnostics,
-    SolveError,
-    SolveResult,
-    SolverConfig,
-    TwoPointProblem,
-    ball_oracle,
-    brute_force_disc,
-    mobius_oracle,
-    solve_point_direction,
-    solve_two_point,
-)
+from . import ellipsoid, extremal_map, polyfactor, boundary, functionals, solver
+from .ellipsoid import *  # noqa: F401,F403
+from .extremal_map import *  # noqa: F401,F403
+from .polyfactor import *  # noqa: F401,F403
+from .boundary import *  # noqa: F401,F403
+from .functionals import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryDefectInfo",
-    "BoundaryFunctional",
-    "BruteForceError",
-    "BruteForceResult",
-    "CircleRationalForm",
-    "Ellipsoid",
-    "ExtremalMapParams",
-    "FactorError",
-    "FactorizationTriple",
-    "FamilyFitReport",
-    "FitPreconditionError",
-    "FourierCoefficients",
-    "GradientUndefinedError",
-    "OuterFunction",
-    "ParameterError",
-    "PointClass",
-    "PointClassification",
-    "PointDirectionProblem",
-    "ProblemSpec",
-    "ResidualReport",
-    "SelfInversivePoly",
-    "SolveDiagnostics",
-    "SolveError",
-    "SolveResult",
-    "SolverConfig",
-    "TwoPointProblem",
-    "analyticity_defect",
-    "ball_oracle",
-    "blaschke_eval",
-    "boundary_defect",
-    "boundary_defect_info",
-    "boundary_trace",
-    "brute_force_disc",
-    "build_point_direction_problem",
-    "build_two_point_problem",
-    "check_self_inversive",
-    "component_zeros",
-    "constraint_residual",
-    "derivative",
-    "eval_functional",
-    "evaluate",
-    "factor",
-    "fit_extremal_family",
-    "fourier_coefficients",
-    "independence_rank",
-    "mobius_oracle",
-    "outer_from_log_modulus",
-    "params_from_json",
-    "params_to_json",
-    "random_valid_params",
-    "reconstruct_from_boundary",
-    "solve_point_direction",
-    "solve_two_point",
-    "type_defect",
-    "__version__",
-]
+__all__ = [name for module in (ellipsoid, extremal_map, polyfactor, boundary,
+                               functionals, solver)
+           for name in module.__all__] + ["__version__"]

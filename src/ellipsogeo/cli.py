@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: eval, validate, solve, factor, fit, functional, oracle,
-plot-data.  All structured IO is JSON tagged with a schema field; grid
-dumps are CSV.  Exit codes: 0 success, 2 validation failure (with a
-machine-readable report), 1 usage or malformed input.  Outputs are
-written atomically and are byte-identical across runs for equal inputs.
+plot-data.  Grid dumps are CSV; every JSON document (stdout, --output
+and the plot-data manifest) carries `schema`, `command` (the
+subcommand) and `config` (the options that shaped it).  A domain
+failure is a document with status "failed" and an `error` message.
+Exit codes: 0 success, 2 validation failure (with a machine-readable
+report), 1 usage or malformed input.  Outputs are written atomically
+and are byte-identical across runs for equal inputs.
 """
 
 from __future__ import annotations
@@ -59,9 +62,21 @@ def _write(path: str | None, text: str) -> None:
         raise
 
 
-def _emit(args, obj: dict) -> None:
-    obj = {"schema": SCHEMA, **obj}
-    _write(args.output, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _document(args, config: dict, **body) -> str:
+    """The JSON text of one output document of the running subcommand."""
+    doc = {"schema": SCHEMA, "command": args.command, "config": config,
+           **body}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, config: dict, **body) -> None:
+    _write(args.output, _document(args, config, **body))
+
+
+def _failed(args, config: dict, exc: Exception) -> int:
+    """Report a domain failure as a document; exit code 2."""
+    _emit(args, config, status="failed", error=str(exc))
+    return 2
 
 
 def _grid_csv(names, columns) -> str:
@@ -125,8 +140,7 @@ def _result_json(res: solver.SolveResult) -> dict:
     }
 
 
-def cmd_eval(args) -> int:
-    obj = _load_json(args.input)
+def cmd_eval(args, obj: dict) -> int:
     ellipsoid, params = _bundle_in(obj)
     if args.boundary:
         trace = extremal_map.boundary_trace(params, ellipsoid, args.grid)
@@ -140,20 +154,13 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"bad --at value {args.at!r}") from exc
     vals = extremal_map.evaluate(params, ellipsoid, lam)
-    _emit(args, {
-        "command": "eval",
-        "config": {"at": pair(lam)},
-        "values": [pair(v) for v in vals],
-        "defining_value": ellipsoid.defining_value(vals),
-    })
+    _emit(args, {"at": pair(lam)}, values=[pair(v) for v in vals],
+          defining_value=ellipsoid.defining_value(vals))
     return 0
 
 
-def cmd_validate(args) -> int:
-    obj = _load_json(args.input)
+def cmd_validate(args, obj: dict) -> int:
     ellipsoid, params = _bundle_in(obj)
-    config = {"tol": args.tol, "boundary_tol": args.boundary_tol,
-              "grid": args.grid}
     failures = []
     box_ok = True
     try:
@@ -161,9 +168,7 @@ def cmd_validate(args) -> int:
     except extremal_map.ParameterError as exc:
         box_ok = False
         failures.append({"check": "box", "detail": str(exc)})
-    cres = None
-    bdef = None
-    excluded = None
+    cres = bdef = excluded = None
     if box_ok:
         cres = extremal_map.constraint_residual(params, ellipsoid)
         if cres > args.tol:
@@ -175,21 +180,14 @@ def cmd_validate(args) -> int:
             failures.append({"check": "boundary", "value": bdef,
                              "tol": args.boundary_tol})
     passed = not failures
-    _emit(args, {
-        "command": "validate",
-        "config": config,
-        "passed": passed,
-        "box_ok": box_ok,
-        "constraint_residual": cres,
-        "boundary_defect": bdef,
-        "excluded_samples": excluded,
-        "failures": failures,
-    })
+    _emit(args, {"tol": args.tol, "boundary_tol": args.boundary_tol,
+                 "grid": args.grid},
+          passed=passed, box_ok=box_ok, constraint_residual=cres,
+          boundary_defect=bdef, excluded_samples=excluded, failures=failures)
     return 0 if passed else 2
 
 
-def cmd_solve(args) -> int:
-    obj = _load_json(args.input)
+def cmd_solve(args, obj: dict) -> int:
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     config = solver.SolverConfig(
         seed=args.seed, starts=args.starts,
@@ -206,60 +204,45 @@ def cmd_solve(args) -> int:
     try:
         res = solve(ellipsoid, problem, config, r_pattern=args.r_pattern)
     except solver.SolveError as exc:
-        _emit(args, {"command": "solve", "config": echo,
-                     "status": "failed", "error": str(exc)})
-        return 2
-    _emit(args, {"command": "solve", "config": echo, "status": "ok",
-                 **_result_json(res)})
+        return _failed(args, echo, exc)
+    _emit(args, echo, status="ok", **_result_json(res))
     return 0
 
 
-def cmd_factor(args) -> int:
-    obj = _load_json(args.input)
+def cmd_factor(args, obj: dict) -> int:
     coeffs = tuple(map(unpair, obj["coefficients"]))
+    config = {"tol": args.tol}
     try:
         poly = polyfactor.SelfInversivePoly(coeffs, tol=max(args.tol, 1e-9))
         form = polyfactor.factor(poly, tol=args.tol)
     except (ValueError, polyfactor.FactorError) as exc:
-        _emit(args, {"command": "factor", "config": {"tol": args.tol},
-                     "status": "failed", "error": str(exc)})
-        return 2
-    _emit(args, {
-        "command": "factor",
-        "config": {"tol": args.tol},
-        "status": "ok",
-        "scale": form.scale,
-        "zeros": [pair(a) for a in form.zeros],
-    })
+        return _failed(args, config, exc)
+    _emit(args, config, status="ok", scale=form.scale,
+          zeros=[pair(a) for a in form.zeros])
     return 0
 
 
-def cmd_fit(args) -> int:
-    obj = _load_json(args.input)
+def cmd_fit(args, obj: dict) -> int:
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     m = int(obj.get("m", args.m))
     samples = np.array([[unpair(v) for v in row] for row in obj["samples"]])
     zeros = [[unpair(v) for v in row] for row in obj["zeros"]]
+    config = {"tol": args.tol, "m": m}
     try:
         report = boundary.fit_extremal_family(samples, zeros, ellipsoid, m,
                                               tol=args.tol)
     except boundary.FitPreconditionError as exc:
-        _emit(args, {"command": "fit", "config": {"tol": args.tol, "m": m},
-                     "status": "failed", "error": str(exc)})
-        return 2
-    _emit(args, {
-        "command": "fit",
-        "config": {"tol": args.tol, "m": m},
-        "status": "ok" if report.in_family else "rejected",
-        "in_family": report.in_family,
-        "rms_total": report.rms_total,
-        "rms_by_component": list(report.rms_by_component),
-        "singular_defect": report.singular_defect,
-        "constraint_residual": report.constraint_residual,
-        "u_defect": report.u_defect,
-        "masked_samples": report.masked,
-        "params": extremal_map.params_to_json(report.params),
-    })
+        return _failed(args, config, exc)
+    _emit(args, config,
+          status="ok" if report.in_family else "rejected",
+          in_family=report.in_family,
+          rms_total=report.rms_total,
+          rms_by_component=list(report.rms_by_component),
+          singular_defect=report.singular_defect,
+          constraint_residual=report.constraint_residual,
+          u_defect=report.u_defect,
+          masked_samples=report.masked,
+          params=extremal_map.params_to_json(report.params))
     return 0 if report.in_family else 2
 
 
@@ -293,8 +276,7 @@ def _spec_from_json(obj: dict) -> functionals.ProblemSpec:
         tuple(map(unpair, obj["sigma"])))
 
 
-def cmd_functional(args) -> int:
-    obj = _load_json(args.input)
+def cmd_functional(args, obj: dict) -> int:
     if "build" in obj:
         spec_in = obj["build"]
         kind = spec_in["kind"]
@@ -308,10 +290,10 @@ def cmd_functional(args) -> int:
                 z, tuple(map(unpair, spec_in["X"])))
         else:
             raise _UsageError(f"unknown build kind {kind!r}")
-        _emit(args, {"command": "functional", "config": {"build": kind},
-                     "status": "ok", "problem": _spec_to_json(spec),
-                     "rank": functionals.independence_rank(spec),
-                     "type_defect": functionals.type_defect(spec)})
+        _emit(args, {"build": kind}, status="ok",
+              problem=_spec_to_json(spec),
+              rank=functionals.independence_rank(spec),
+              type_defect=functionals.type_defect(spec))
         return 0
     if "evaluate" in obj:
         section = obj["evaluate"]
@@ -322,30 +304,25 @@ def cmd_functional(args) -> int:
         values = [functionals.eval_functional(f, disc, M)
                   for f in spec.functionals]
         mism = max(abs(v - t) for v, t in zip(values, spec.targets))
-        _emit(args, {"command": "functional", "config": {"grid": M},
-                     "status": "ok", "values": values,
-                     "targets": list(spec.targets),
-                     "max_mismatch": mism})
+        _emit(args, {"grid": M}, status="ok", values=values,
+              targets=list(spec.targets), max_mismatch=mism)
         return 0
     raise _UsageError("input needs a build or evaluate section")
 
 
-def cmd_oracle(args) -> int:
-    obj = _load_json(args.input)
+def cmd_oracle(args, obj: dict) -> int:
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     problem = _problem_in(obj)
     kind = obj["kind"]
     config = {"kind": kind, "degree": args.degree, "seed": args.seed}
     if kind == "mobius":
         value, params = solver.mobius_oracle(problem)
-        _emit(args, {"command": "oracle", "config": config, "status": "ok",
-                     "value": value,
-                     "params": extremal_map.params_to_json(params)})
+        _emit(args, config, status="ok", value=value,
+              params=extremal_map.params_to_json(params))
         return 0
     if kind == "ball":
-        value = solver.ball_oracle(ellipsoid, problem)
-        _emit(args, {"command": "oracle", "config": config, "status": "ok",
-                     "value": value})
+        _emit(args, config, status="ok",
+              value=solver.ball_oracle(ellipsoid, problem))
         return 0
     if kind == "brute":
         sconf = solver.SolverConfig(seed=args.seed)
@@ -353,23 +330,16 @@ def cmd_oracle(args) -> int:
             res = solver.brute_force_disc(ellipsoid, problem, args.degree,
                                           sconf)
         except solver.BruteForceError as exc:
-            _emit(args, {"command": "oracle", "config": config,
-                         "status": "failed", "error": str(exc)})
-            return 2
-        _emit(args, {
-            "command": "oracle", "config": config, "status": "ok",
-            "value": res.value,
-            "degree": res.degree,
-            "certified_sup_u": res.certified_sup_u,
-            "numerator": [[pair(c) for c in row] for row in res.numerator],
-            "denominator_zeros": [pair(b) for b in res.denominator_zeros],
-        })
+            return _failed(args, config, exc)
+        _emit(args, config, status="ok", value=res.value,
+              degree=res.degree, certified_sup_u=res.certified_sup_u,
+              numerator=[[pair(c) for c in row] for row in res.numerator],
+              denominator_zeros=[pair(b) for b in res.denominator_zeros])
         return 0
     raise _UsageError(f"unknown oracle kind {kind!r}")
 
 
-def cmd_plot_data(args) -> int:
-    obj = _load_json(args.input)
+def cmd_plot_data(args, obj: dict) -> int:
     ellipsoid, params = _bundle_in(obj)
     M = args.grid
     trace = extremal_map.boundary_trace(params, ellipsoid, M)
@@ -379,11 +349,9 @@ def cmd_plot_data(args) -> int:
     u = np.full(M, float("nan"))
     u[finite] = ellipsoid.defining_values(trace[:, finite])
     _write(os.path.join(args.output, "residual.csv"), _grid_csv(["u"], [u]))
-    manifest = {"schema": SCHEMA, "command": "plot-data",
-                "config": {"grid": M},
-                "files": ["boundary.csv", "residual.csv"]}
     _write(os.path.join(args.output, "manifest.json"),
-           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+           _document(args, {"grid": M},
+                     files=["boundary.csv", "residual.csv"]))
     return 0
 
 
@@ -454,7 +422,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _load_json(args.input))
     except (_UsageError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

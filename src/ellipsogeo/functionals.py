@@ -204,8 +204,6 @@ def _pole_table(sigma: float, nu: float) -> dict:
     sum of h at sigma; the tail is below (sigma/nu)^K on the radius-nu
     circle, pushed under 1e-18 when the term budget allows.
     """
-    if sigma == 0.0:
-        return {0: 1.0 + 0j}
     ratio = sigma / nu
     K = int(math.ceil(math.log(_TAIL_EPS) / math.log(ratio)))
     K = max(1, min(K, _MAX_POLE_TERMS))
@@ -275,29 +273,29 @@ def build_point_direction_problem(z, X) -> ProblemSpec:
     return _pin_and_read(z, X, {-1: 1.0 + 0j}, 0.5, 0j)
 
 
-def independence_rank(spec: ProblemSpec, trial_maps=None,
-                      tol: float = 1e-8) -> int:
-    """Numerical rank of the functional family over a trial space.
+def _trial_matrix(spec: ProblemSpec) -> np.ndarray:
+    """Each functional's value on each monomial disc c e_j lambda^d.
 
-    Trial maps default to the monomial discs e_j lambda^d with enough
-    degrees to saturate the family; rank counts singular values above
-    tol relative to the largest.
+    The disc has one Taylor term, so it reads only the index -d weight
+    coefficient of component j and the entry is Re(c w_j[-d]) exactly,
+    with no quadrature.  Columns run over d, then j, then c in (1, i),
+    with enough degrees d to saturate the family.
     """
     n = spec.functionals[0].n if spec.functionals else 0
-    if trial_maps is None:
-        degrees = max(2, (2 * len(spec.functionals)) // max(n, 1) + 2)
-        trial_maps = []
-        for d in range(degrees):
-            for j in range(n):
-                for unit in (1.0, 1j):
-                    coeffs = np.zeros((n, d + 1), dtype=complex)
-                    coeffs[j, d] = unit
-                    trial_maps.append(coeffs)
-    A = np.zeros((len(spec.functionals), len(trial_maps)))
+    degrees = max(2, (2 * len(spec.functionals)) // max(n, 1) + 2)
+    A = np.zeros((len(spec.functionals), 2 * n * degrees))
     for i, func in enumerate(spec.functionals):
-        for t, h in enumerate(trial_maps):
-            A[i, t] = eval_functional(func, h)
-    sv = np.linalg.svd(A, compute_uv=False)
+        A[i] = [(unit * table.get(-d, 0.0)).real for d in range(degrees)
+                for table in func.terms for unit in (1.0, 1j)]
+    return A
+
+
+def independence_rank(spec: ProblemSpec, tol: float = 1e-8) -> int:
+    """Numerical rank of the functional family over the monomial discs.
+
+    Rank counts singular values above tol relative to the largest.
+    """
+    sv = np.linalg.svd(_trial_matrix(spec), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))

@@ -327,3 +327,101 @@ def test_fit_rejects_data_of_a_higher_band_degree(tmp_path):
     assert res["status"] == "rejected"
     assert res["in_family"] is False
     assert res["rms_total"] > 1e-2
+
+
+def fit_input(band_degree, scale=1.0):
+    # boundary data of a random member, fitted at band degree 1
+    rng = np.random.default_rng(1)
+    E = Ellipsoid((1.0, 2.0))
+    params = em.random_valid_params(rng, E.exponents, band_degree)
+    trace = scale * em.boundary_trace(params, E, 64)
+    return {"ellipsoid": E.to_json(), "m": 1,
+            "samples": [[em.pair(v) for v in row] for row in trace],
+            "zeros": [[em.pair(z) for z in zs[:1]]
+                      for zs in em.component_zeros(params)]}
+
+
+def broken_bundle():
+    bundle = flat_bundle()
+    bundle["params"]["a"] = [[0.9, 0.0], [0.9, 0.0]]
+    return bundle
+
+
+TWO_POINT_N2 = {"ellipsoid": {"p": [1.0, 2.0]},
+                "two_point": {"z": [[0.1, 0.05], [0.2, -0.1]],
+                              "w": [[0.3, -0.1], [0.1, 0.2]]}}
+
+# (subcommand, input, extra argv, exit code, status or None)
+ENVELOPE_CASES = {
+    "eval": ("eval", flat_bundle, ["--at", "0.3,0.0"], 0, None),
+    "validate-pass": ("validate", flat_bundle, [], 0, None),
+    "validate-fail": ("validate", broken_bundle, [], 2, None),
+    "solve-ok": ("solve", lambda: {
+        "ellipsoid": {"p": [1.0]},
+        "two_point": {"z": [[0.2, 0.0]], "w": [[0.6, 0.0]]}}, [], 0, "ok"),
+    "solve-failed": ("solve", lambda: TWO_POINT_N2,
+                     ["--starts", "0", "--r-pattern", "00"], 2, "failed"),
+    "factor-ok": ("factor", lambda: {"coefficients": [
+        [-0.5, 0.0], [1.25, 0.0], [-0.5, 0.0]]}, [], 0, "ok"),
+    "factor-failed": ("factor", lambda: {"coefficients": [
+        [0.5, 0.0], [-1.25, 0.0], [0.5, 0.0]]}, [], 2, "failed"),
+    "fit-ok": ("fit", lambda: fit_input(1), [], 0, "ok"),
+    "fit-rejected": ("fit", lambda: fit_input(2), [], 2, "rejected"),
+    "fit-failed": ("fit", lambda: fit_input(1, scale=2.0), [], 2, "failed"),
+    "functional-build": ("functional", lambda: {"build": {
+        "kind": "point-direction", "z": [[0.0, 0.0]], "X": [[1.0, 0.0]]}},
+        [], 0, "ok"),
+    "oracle-mobius": ("oracle", lambda: {
+        "kind": "mobius", "ellipsoid": {"p": [1.0]},
+        "two_point": {"z": [[0.0, 0.0]], "w": [[0.5, 0.0]]}}, [], 0, "ok"),
+    "oracle-ball": ("oracle", lambda: {
+        **TWO_POINT_N2, "kind": "ball", "ellipsoid": {"p": [1.0, 1.0]}},
+        [], 0, "ok"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+def test_every_json_document_carries_the_envelope(tmp_path, capsys, case):
+    command, make_input, extra, code, status = ENVELOPE_CASES[case]
+    inp = tmp_path / "in.json"
+    write_json(inp, make_input())
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(inp), *extra]
+    assert cli.main(argv) == code
+    printed = capsys.readouterr().out
+    assert cli.main([*argv, "--output", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    doc = json.loads(printed)
+    assert doc["schema"] == em.SCHEMA
+    assert doc["command"] == command
+    assert isinstance(doc["config"], dict)
+    assert doc.get("status") == status
+    if status == "failed":
+        assert isinstance(doc["error"], str) and doc["error"]
+
+
+def test_functional_evaluate_and_plot_data_carry_the_envelope(tmp_path):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"build": {"kind": "point-direction",
+                               "z": [[0.0, 0.0]], "X": [[1.0, 0.0]]}})
+    built = tmp_path / "built.json"
+    assert cli.main(["functional", "--input", str(inp),
+                     "--output", str(built)]) == 0
+    write_json(inp, {"evaluate": {
+        "problem": json.loads(built.read_text())["problem"],
+        "disc": [[[0.0, 0.0], [1.0, 0.0]]]}})
+    out = tmp_path / "evaluated.json"
+    assert cli.main(["functional", "--input", str(inp),
+                     "--output", str(out)]) == 0
+    write_json(inp, flat_bundle())
+    plots = tmp_path / "plots"
+    assert cli.main(["plot-data", "--input", str(inp), "--output", str(plots),
+                     "--grid", "32"]) == 0
+    for path, command, config in (
+            (out, "functional", {"grid": None}),
+            (plots / "manifest.json", "plot-data", {"grid": 32})):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["schema"] == em.SCHEMA
+        assert doc["command"] == command
+        assert doc["config"] == config

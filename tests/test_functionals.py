@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellipsogeo import functionals
 from ellipsogeo.functionals import (
     BoundaryFunctional,
     ProblemSpec,
@@ -237,13 +238,7 @@ def test_rank_full_for_point_direction_problem():
 
 def test_rank_full_on_monomial_trials():
     spec = build_point_direction_problem([0.0], [1.0])
-    trials = []
-    for d in (0, 1):
-        for unit in (1.0, 1j):
-            c = np.zeros((1, 2), dtype=complex)
-            c[0, d] = unit
-            trials.append(c)
-    assert independence_rank(spec, trials) == 4
+    assert independence_rank(spec) == 4
 
 
 def test_rank_drops_for_duplicate_functionals():
@@ -257,7 +252,47 @@ def test_rank_drops_for_duplicate_functionals():
 def test_rank_single_functional():
     func = BoundaryFunctional(({0: 1.0 + 0j},), nu=0.5)
     spec = ProblemSpec((func,), (1.0,), 0, ())
-    assert independence_rank(spec, [np.array([[1.0]])]) == 1
+    assert independence_rank(spec) == 1
+
+
+def quadrature_trial_matrix(spec):
+    """Reference: each functional's quadrature value on each monomial
+    disc c e_j lambda^d, over the same columns as the rank uses."""
+    n = spec.functionals[0].n
+    degrees = max(2, (2 * len(spec.functionals)) // n + 2)
+    trials = []
+    for d in range(degrees):
+        for j in range(n):
+            for unit in (1.0, 1j):
+                coeffs = np.zeros((n, d + 1), dtype=complex)
+                coeffs[j, d] = unit
+                trials.append(coeffs)
+    return np.array([[eval_functional(f, h) for h in trials]
+                     for f in spec.functionals])
+
+
+def test_rank_matches_the_quadrature_trial_matrix():
+    # the rank reads the Laurent tables; quadrature on the monomial discs
+    # must give the same matrix and rank
+    rng = np.random.default_rng(14)
+    for i in range(24):
+        n = 1 + i % 3
+        z = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.4, 0.4, n)
+        v = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        if n > 1 and i % 4 in (1, 2):
+            z[0] = 0.0
+            v[0] = 0.0
+        if i % 2 == 0:
+            sigma = (0.05, 0.3, 0.7)[(i // 2) % 3]
+            spec = build_two_point_problem(z, v, sigma)
+        else:
+            spec = build_point_direction_problem(z, v)
+        want = quadrature_trial_matrix(spec)
+        got = functionals._trial_matrix(spec)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+        sv = np.linalg.svd(want, compute_uv=False)
+        assert independence_rank(spec) == np.count_nonzero(sv > 1e-8 * sv[0])
 
 
 def test_type_defect_zero_when_divisor_declared():

@@ -18,6 +18,8 @@ def test_demo_geodesics_writes_both_csv_files(tmp_path):
     proc = run_script("demo_geodesics.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert sorted(os.listdir(tmp_path)) == ["boundary.csv", "segment.csv"]
+    with open(tmp_path / "boundary.csv", encoding="utf-8") as fh:
+        assert fh.readline() == "index,angle,re_0,im_0,re_1,im_1\n"
 
 
 def test_competitor_degree_scan_prints_one_row_per_degree():
