@@ -325,10 +325,9 @@ def cmd_oracle(args, obj: dict) -> int:
               value=solver.ball_oracle(ellipsoid, problem))
         return 0
     if kind == "brute":
-        sconf = solver.SolverConfig(seed=args.seed)
         try:
             res = solver.brute_force_disc(ellipsoid, problem, args.degree,
-                                          sconf)
+                                          seed=args.seed)
         except solver.BruteForceError as exc:
             return _failed(args, config, exc)
         _emit(args, config, status="ok", value=res.value,

@@ -290,12 +290,12 @@ def _trial_matrix(spec: ProblemSpec) -> np.ndarray:
     return A
 
 
-def independence_rank(spec: ProblemSpec, tol: float = 1e-8) -> int:
-    """Numerical rank of the functional family over the monomial discs.
+_RANK_TOL = 1e-8    # singular values counted, relative to the largest
 
-    Rank counts singular values above tol relative to the largest.
-    """
+
+def independence_rank(spec: ProblemSpec) -> int:
+    """Numerical rank of the functional family over the monomial discs."""
     sv = np.linalg.svd(_trial_matrix(spec), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > _RANK_TOL * sv[0]))

@@ -80,11 +80,6 @@ class SelfInversivePoly:
     def m(self) -> int:
         return (len(self.coefficients) - 1) // 2
 
-    def __call__(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        # ascending coefficients, so reverse for polyval
-        return np.polyval(np.asarray(self.coefficients)[::-1], zeta)
-
 
 @dataclass(frozen=True)
 class CircleRationalForm:
@@ -111,9 +106,6 @@ class CircleRationalForm:
     @property
     def m(self) -> int:
         return len(self.zeros)
-
-    def expand(self) -> np.ndarray:
-        return expand_circle_product(self.scale, self.zeros)
 
 
 def expand_circle_product(scale: float, zeros) -> np.ndarray:

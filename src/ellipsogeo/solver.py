@@ -254,10 +254,10 @@ def _damped_newton(F, jac, x0, guard, reach):
     convergence, (None, iterations) on failure.  `guard` rejects
     out-of-box iterates before F is called.  The line search tries the
     rungs 1, 1/2, 1/4, ... down to 1e-12, but starts at the first rung
-    not above 2 reach(x, step): every rung above it takes a zero out of
-    the guard's disc (see `_make_reach`), so the accepted step is the
-    one the full ladder would accept.  A start fails as soon as its
-    line search finds no decrease.
+    not above 2 reach(x, step): every rung above it takes a zero or the
+    tied zero out of its guard disc (see `_make_reach`), so the accepted
+    step is the one the full ladder would accept.  A start fails as soon
+    as its line search finds no decrease.
     """
     x = np.array(x0, dtype=float)
     if not guard(x):
@@ -293,6 +293,8 @@ def _damped_newton(F, jac, x0, guard, reach):
 def _unpack(x, n):
     rho = x[:n]
     psi = x[n: 2 * n]
+    # not a complex view: the sum turns a -0.0 into +0.0, and lstsq's
+    # Householder reflectors take their signs from such zeros
     alpha = x[2 * n: 4 * n: 2] + 1j * x[2 * n + 1: 4 * n: 2]
     alpha0 = x[4 * n] + 1j * x[4 * n + 1]
     scalar = x[4 * n + 2]
@@ -415,26 +417,34 @@ def _system(kind, z, tg, rpat, p):
     return residual, jacobian
 
 
-_ZERO_RADIUS = 1.0 - 1e-12    # the guard's disc for the zeros alpha_j
+# the guard's discs: the n zeros alpha_j, then the tied zero alpha0, as
+# the (re, im) pairs x[2n: 4n + 2] (`_discs`), with these radii
+_ZERO_RADIUS = 1.0 - 1e-12
+_TIED_RADIUS = 1.0 - 1e-9
+
+
+def _discs(n):
+    return (slice(2 * n, 4 * n + 2, 2), slice(2 * n + 1, 4 * n + 2, 2),
+            [_ZERO_RADIUS] * n + [_TIED_RADIUS])
 
 
 def _make_guard(n, scalar_hi):
     """Box test on an iterate, in plain Python: it runs on every trial step.
 
-    The tests only reject, so their order is free: the zeros leaving the
-    disc come first (most of those rungs are skipped before the guard
-    runs, see `_make_reach`), and NaN (which fails no comparison) is
-    caught by the finiteness test at the end.  A modulus too large for a
-    float raises OverflowError in `abs`, and rejects too.
+    The tests only reject, so their order is free: the discs come first
+    (most of the rungs they reject are skipped before the guard runs, see
+    `_make_reach`), and NaN (which fails no comparison) is caught by the
+    finiteness test at the end.  A modulus too large for a float raises
+    OverflowError in `abs`, and rejects too.
     """
+    re, im, radii = _discs(n)
+
     def guard(x):
         v = x.tolist()
         try:
-            for re, im in zip(v[2 * n: 4 * n: 2], v[2 * n + 1: 4 * n: 2]):
-                if abs(complex(re, im)) > _ZERO_RADIUS:
+            for a, b, r in zip(v[re], v[im], radii):
+                if abs(complex(a, b)) > r:
                     return False
-            if abs(complex(v[4 * n], v[4 * n + 1])) > 1.0 - 1e-9:
-                return False
         except OverflowError:
             return False
         for rho in v[:n]:
@@ -448,25 +458,26 @@ def _make_guard(n, scalar_hi):
 
 
 def _make_reach(n):
-    """How far a Newton step can go before a zero leaves the guard's disc.
+    """How far a Newton step can go before a zero leaves its guard disc.
 
-    reach(x, step) is the smallest over the zeros alpha_j (direction d_j
-    in `step`) of the positive root t_j of |alpha_j + t d_j| = r, with r
-    the guard's radius, or inf.  |alpha_j + t d_j| is convex in t, so at
-    t >= 2 t_j it exceeds r by at least r - |alpha_j|, which is above
-    5e-13 whenever the margin r^2 - |alpha_j|^2 is at least 1e-12: far
+    reach(x, step) is the smallest over the n + 1 discs, the zeros
+    alpha_j and the tied zero alpha0 (direction d_j in `step`), of the
+    positive root t_j of |alpha_j + t d_j| = r_j, with r_j the guard's
+    radius, or inf.  |alpha_j + t d_j| is convex in t, so at t >= 2 t_j
+    it exceeds r_j by at least r_j - |alpha_j|, which is above 5e-13
+    whenever the margin r_j^2 - |alpha_j|^2 is at least 1e-12: far
     beyond the rounding of x + t * step, so the guard rejects every such
     rung.  A zero with a smaller margin (or a non-finite one) skips
     nothing.  Plain Python floats, like the guard.
     """
-    r2 = _ZERO_RADIUS ** 2
+    re, im, radii = _discs(n)
+    r2s = [r ** 2 for r in radii]
 
     def reach(x, step):
         v = x.tolist()
         s = step.tolist()
         best = math.inf
-        for a, b, c, d in zip(v[2 * n: 4 * n: 2], v[2 * n + 1: 4 * n: 2],
-                              s[2 * n: 4 * n: 2], s[2 * n + 1: 4 * n: 2]):
+        for a, b, c, d, r2 in zip(v[re], v[im], s[re], s[im], r2s):
             margin = r2 - (a * a + b * b)
             dd = c * c + d * d
             if not (margin >= 1e-12 and dd * margin > 0.0):
@@ -519,10 +530,7 @@ def _pack(rho, psi, alpha, alpha0, scalar):
     x = np.empty(4 * n + 3)
     x[:n] = rho
     x[n: 2 * n] = psi
-    x[2 * n: 4 * n: 2] = np.real(alpha)
-    x[2 * n + 1: 4 * n: 2] = np.imag(alpha)
-    x[4 * n] = np.real(alpha0)
-    x[4 * n + 1] = np.imag(alpha0)
+    x[2 * n: 4 * n + 2].view(complex)[:] = np.append(alpha, alpha0)
     x[4 * n + 2] = scalar
     return x
 
@@ -536,11 +544,10 @@ def _perturb(x, rng, n, scalar_hi):
     y[4 * n + 2] = np.clip(
         y[4 * n + 2] + 0.1 * scalar_hi * rng.standard_normal(),
         1e-4, scalar_hi * 0.999)
-    alpha = y[2 * n: 4 * n: 2] + 1j * y[2 * n + 1: 4 * n: 2]
+    alpha = y[2 * n: 4 * n].view(complex)
     big = np.abs(alpha) > 0.97
     alpha[big] = 0.9 * alpha[big] / np.abs(alpha[big])
-    y[2 * n: 4 * n: 2] = alpha.real
-    y[2 * n + 1: 4 * n: 2] = alpha.imag
+    # alpha0 stays a numpy scalar: its clamp rounds differently in an array
     a0 = y[4 * n] + 1j * y[4 * n + 1]
     if abs(a0) > 0.97:
         a0 = 0.9 * a0 / abs(a0)
@@ -829,11 +836,8 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
     dnum = np.array(dnum, dtype=complex).reshape(d - 1, zeta.size)
 
     def split(x):
-        if d >= 2:
-            raw = x[:ncf]
-            chigh = (raw[0::2] + 1j * raw[1::2]).reshape(n, d - 1)
-        else:
-            chigh = np.zeros((n, 0), dtype=complex)
+        raw = x[:ncf]
+        chigh = (raw[0::2] + 1j * raw[1::2]).reshape(n, d - 1)
         vraw = x[ncf:]
         v = vraw[0::2] + 1j * vraw[1::2]
         absv = np.abs(v)
@@ -962,7 +966,7 @@ def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, zeta, zeta_cert):
 
 
 def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
-                     config: SolverConfig = SolverConfig()) -> BruteForceResult:
+                     seed: int = 0) -> BruteForceResult:
     """Certified competitor bound over rational discs of a given degree.
 
     Competitors are g = N / q with per-component numerators of degree at
@@ -978,7 +982,8 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
     sigma, upward on t).  Every accepted level is re-certified on a dense
     grid before it may tighten the bracket.
 
-    Raises BruteForceError when no feasible disc is found at all.
+    `seed` seeds the random L-BFGS starts.  Raises BruteForceError when
+    no feasible disc is found at all.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -987,7 +992,7 @@ def brute_force_disc(ellipsoid: Ellipsoid, problem, degree: int,
     n = z.size
     zeta = unit_circle_grid(_BRUTE_GRID)
     zeta_cert = unit_circle_grid(_BRUTE_CERT_GRID)
-    rng = np.random.default_rng(config.seed + 77)
+    rng = np.random.default_rng(seed + 77)
     nfree = 2 * n * (degree - 1) + 2 * degree
 
     def starts(warm):

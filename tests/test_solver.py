@@ -351,14 +351,91 @@ def test_reach_never_changes_the_accepted_rung(case):
             assert got.tobytes() == want.tobytes() and calls == 2
 
 
+def test_reach_at_the_tied_zero_keeps_the_first_passing_rung():
+    # only the tied zero moves, from 1e-13 to 1e-3 inside its guard
+    # circle on a grid of ratio 10^(1/8) < 4/3: a reach taken to any
+    # smaller radius in that range skips a rung the guard lets through
+    # at some gap of the grid.  Above the 1e-12 margin the guard sees the
+    # start and at most two rungs
+    test, guards = solver._make_guard(1, 1.0 - 1e-9), []
+
+    def guard(y):
+        guards.append(y)
+        return test(y)
+
+    reach = solver._make_reach(1)
+    for k in range(81):
+        gap = 10.0 ** (-13.0 + k / 8.0)
+        x = solver._pack(np.zeros(1), np.zeros(1), np.array([0.5j]),
+                         (solver._TIED_RADIUS - gap) * np.exp(0.7j), 0.5)
+        for turn in (0.0, 1.0, 2.0):
+            for size in (3.0, 3e2, 3e5):
+                d = size * gap * np.exp(1j * (0.7 + turn))
+                step = np.zeros(x.size)
+                step[0] = 0.1             # so that the residual is not tiny
+                step[4:6] = d.real, d.imag
+                newton_step = np.linalg.lstsq(np.eye(x.size), step,
+                                              rcond=None)[0]
+                t = 1.0
+                while t >= 1e-12 and not guard(x + t * newton_step):
+                    t *= 0.5
+                guards.clear()
+                got, calls = line_search(x, step, guard, reach)
+                assert gap < 5e-13 or len(guards) <= 3
+                if t < 1e-12:
+                    assert got is None and calls == 1
+                else:
+                    want = x + t * newton_step
+                    assert got.tobytes() == want.tobytes() and calls == 2
+
+
 def test_guard_rejects_a_modulus_beyond_the_largest_float():
-    # abs(complex(1e308, 1e308)) raises OverflowError instead of
+    # abs(complex(1.5e308, 1.5e308)) raises OverflowError instead of
     # returning a modulus; the guard must reject such a point, not raise
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
     guard = solver._make_guard(1, 1.0 - 1e-9)
-    for alpha, alpha0 in ((1e308 + 1e308j, 0.1j), (0.5, 1e308 - 1e308j)):
+    for alpha, alpha0 in ((1.5e308 + 1.5e308j, 0.1j),
+                          (0.5, 1.5e308 - 1.5e308j)):
         x = solver._pack(np.zeros(1), np.zeros(1), np.array([alpha]),
                          alpha0, 0.5)
         assert not guard(x)
+
+
+def test_guard_rejects_a_log_modulus_beyond_thirty():
+    guard = solver._make_guard(1, 1.0 - 1e-9)
+    for rho, inside in ((29.9, True), (-29.9, True),
+                        (30.1, False), (-30.1, False)):
+        x = solver._pack(np.array([rho]), np.zeros(1), np.array([0.5]),
+                         0.1j, 0.5)
+        assert guard(x) is inside
+
+
+def test_newton_fails_at_once_on_a_start_the_guard_rejects():
+    def residual(x):
+        raise AssertionError("the residual ran")
+
+    guard, reach = solver._make_guard(1, 1.0 - 1e-9), solver._make_reach(1)
+    # alpha0 = 1 lies outside its guard disc
+    x0 = solver._pack(np.zeros(1), np.zeros(1), np.array([0.5]), 1.0, 0.5)
+    assert solver._damped_newton(residual, None, x0, guard, reach) == (None, 0)
+
+
+def test_newton_gives_up_after_its_iteration_budget():
+    # F(x) = x with Jacobian 4 I: every full step passes the Armijo test
+    # but only cuts the residual to 3/4, so 70 steps leave 0.75^70 > 1e-12
+    calls = []
+
+    def residual(x):
+        calls.append(x)
+        return x, None
+
+    got = solver._damped_newton(residual, lambda parts: 4.0 * np.eye(7),
+                                np.ones(7), lambda x: True,
+                                lambda x, step: np.inf)
+    assert got == (None, 70) and solver._NEWTON_MAX_ITER == 70
+    assert len(calls) == 71
+    assert abs(np.max(calls[-1]) - 0.75 ** 70) < 1e-20
 
 
 def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
@@ -483,6 +560,26 @@ def test_solver_config_rejects_unusable_values(field, value):
         SolverConfig(**{field: value})
 
 
+def test_search_moves_past_a_converged_start_that_fails_validation(
+        monkeypatch):
+    # gates of 1e-30 reject every converged start, so the search runs all
+    # 9 starts of both flag patterns of a 1-D problem and then fails
+    validate, verdicts = solver._validate, []
+
+    def recorded(*args):
+        ok, report = validate(*args)
+        verdicts.append(ok)
+        return ok, report
+
+    monkeypatch.setattr(solver, "_validate", recorded)
+    strict = SolverConfig(interpolation_tol=1e-30, constraint_tol=1e-30,
+                          boundary_tol=1e-30)
+    with pytest.raises(SolveError, match="after 18 starts over 2 flag "):
+        solve_two_point(Ellipsoid((1.0,)), TwoPointProblem((0.1,), (0.5,)),
+                        strict)
+    assert len(verdicts) >= 2 and not any(verdicts)
+
+
 def test_baseline_instance_search_counts():
     # exact counts on the baseline p = (1, 2) instance: the first pattern
     # validates at its first start, after 6 Newton iterations
@@ -524,6 +621,11 @@ def test_mobius_oracle_rejects_higher_dimension():
 def test_mobius_oracle_rejects_point_outside_disc():
     with pytest.raises(ValueError):
         mobius_oracle(PointDirectionProblem((1.0,), (0.5,)))
+
+
+def test_mobius_oracle_rejects_second_point_outside_disc():
+    with pytest.raises(ValueError, match="unit disc"):
+        mobius_oracle(TwoPointProblem((0.1,), (1.5,)))
 
 
 def test_oracle_and_competitor_reject_non_problems():
@@ -654,6 +756,20 @@ def test_brute_runs_every_lbfgs_through_solver_minimize(monkeypatch):
     assert patched and patched == reached
     assert set(patched) == {"L-BFGS-B"}
     assert res == plain
+
+
+def test_brute_raises_when_no_probe_is_feasible(monkeypatch):
+    probes = []
+
+    def infeasible(p, z, tg, kind, scalar, *args):
+        probes.append(scalar)
+        return None
+
+    monkeypatch.setattr(solver, "_brute_feasible", infeasible)
+    with pytest.raises(BruteForceError, match="at degree 2"):
+        brute_force_disc(Ellipsoid((1.0,)), TwoPointProblem((0.2,), (0.5j,)),
+                         2)
+    assert len(probes) == 3
 
 
 def test_brute_rejects_degree_below_one():
@@ -822,7 +938,7 @@ def test_brute_objective_is_bit_identical_to_the_loop_form(kind, n, degree):
 
 def test_brute_config_margin_respected():
     res = brute_force_disc(Ellipsoid((1.0,)), TwoPointProblem((0,), (0.5,)),
-                           1, SolverConfig())
+                           1)
     # witness stays strictly inside: certified sup over the dense grid
     assert res.certified_sup_u <= 0.0
     assert res.bisection_levels > 0
