@@ -244,6 +244,7 @@ def _mobius_sigma(a: complex, b: complex) -> float:
 
 _NEWTON_MAX_ITER = 70
 _NEWTON_TOL = 1e-12      # max-norm residual at which a start has converged
+_NEWTON_MIN_STEP = 2.0 ** -16   # the last rung of the line search
 
 
 def _damped_newton(F, jac, x0, guard, reach):
@@ -253,11 +254,15 @@ def _damped_newton(F, jac, x0, guard, reach):
     jac builds the Jacobian at the same x.  Returns (x, iterations) on
     convergence, (None, iterations) on failure.  `guard` rejects
     out-of-box iterates before F is called.  The line search tries the
-    rungs 1, 1/2, 1/4, ... down to 1e-12, but starts at the first rung
-    not above 2 reach(x, step): every rung above it takes a zero or the
-    tied zero out of its guard disc (see `_make_reach`), so the accepted
-    step is the one the full ladder would accept.  A start fails as soon
-    as its line search finds no decrease.
+    rungs 1, 1/2, 1/4, ... down to `_NEWTON_MIN_STEP` = 2^-16, but starts
+    at the first rung not above 2 reach(x, step): every rung above it
+    takes a zero or the tied zero out of its guard disc (see
+    `_make_reach`), so the accepted step is the one the full ladder would
+    accept.  A start fails as soon as its line search finds no decrease.
+    The floor is a minimum step length (Dennis-Schnabel, section 6.3): a
+    start that only moves on shorter rungs is crawling toward a guard
+    circle or a stalled residual, and no converging start has been seen
+    to need a rung below 2^-14.
     """
     x = np.array(x0, dtype=float)
     if not guard(x):
@@ -270,9 +275,9 @@ def _damped_newton(F, jac, x0, guard, reach):
         step, *_ = np.linalg.lstsq(jac(parts), -fx, rcond=None)
         t = 1.0
         skip = 2.0 * reach(x, step)
-        while t > skip and t >= 1e-12:
+        while t > skip and t >= _NEWTON_MIN_STEP:
             t *= 0.5
-        while t >= 1e-12:
+        while t >= _NEWTON_MIN_STEP:
             xn = x + t * step
             if guard(xn):
                 fn, pn = F(xn)

@@ -313,7 +313,8 @@ def line_search_case(draw):
 def line_search(x, step, guard, reach):
     """One `_damped_newton` step with `step` as its Newton step and every
     point the guard lets through accepted: (x after the step, residual
-    calls).  The result is None when no rung down to 1e-12 passes."""
+    calls).  The result is None when no rung down to
+    `solver._NEWTON_MIN_STEP` passes."""
     calls = []
 
     def F(y):
@@ -336,12 +337,13 @@ def test_reach_never_changes_the_accepted_rung(case):
     guard = solver._make_guard(n, 1.0 - 1e-9)
     assume(guard(x) and np.max(np.abs(step)) >= 1e-11)
     # the step _damped_newton takes, and the first rung of the full
-    # ladder 1, 1/2, ... down to 1e-12 that the guard lets through
+    # ladder 1, 1/2, ... down to _NEWTON_MIN_STEP that the guard lets
+    # through
     newton_step = np.linalg.lstsq(np.eye(x.size), step, rcond=None)[0]
-    t = 1.0
-    while t >= 1e-12 and not guard(x + t * newton_step):
+    t, floor = 1.0, solver._NEWTON_MIN_STEP
+    while t >= floor and not guard(x + t * newton_step):
         t *= 0.5
-    want = x + t * newton_step if t >= 1e-12 else None
+    want = x + t * newton_step if t >= floor else None
 
     for reach in (solver._make_reach(n), lambda x, step: np.inf):
         got, calls = line_search(x, step, guard, reach)
@@ -351,42 +353,57 @@ def test_reach_never_changes_the_accepted_rung(case):
             assert got.tobytes() == want.tobytes() and calls == 2
 
 
-def test_reach_at_the_tied_zero_keeps_the_first_passing_rung():
-    # only the tied zero moves, from 1e-13 to 1e-3 inside its guard
-    # circle on a grid of ratio 10^(1/8) < 4/3: a reach taken to any
-    # smaller radius in that range skips a rung the guard lets through
-    # at some gap of the grid.  Above the 1e-12 margin the guard sees the
-    # start and at most two rungs
+def assert_reach_keeps_the_first_passing_rung(start):
+    # start(gap) gives an n = 1 iterate with one disc `gap` inside its
+    # guard circle, and the index of that disc's (re, im) pair in x.  The
+    # gaps run from 1e-13 to 1e-3 on a grid of ratio 10^(1/8) < 4/3: a
+    # reach taken to any smaller radius in that range skips a rung the
+    # guard lets through at some gap of the grid.  Above the 1e-12 margin
+    # the guard sees the start and at most two rungs
     test, guards = solver._make_guard(1, 1.0 - 1e-9), []
 
     def guard(y):
         guards.append(y)
         return test(y)
 
-    reach = solver._make_reach(1)
+    reach, floor = solver._make_reach(1), solver._NEWTON_MIN_STEP
     for k in range(81):
         gap = 10.0 ** (-13.0 + k / 8.0)
-        x = solver._pack(np.zeros(1), np.zeros(1), np.array([0.5j]),
-                         (solver._TIED_RADIUS - gap) * np.exp(0.7j), 0.5)
+        x, at = start(gap)
         for turn in (0.0, 1.0, 2.0):
             for size in (3.0, 3e2, 3e5):
                 d = size * gap * np.exp(1j * (0.7 + turn))
                 step = np.zeros(x.size)
                 step[0] = 0.1             # so that the residual is not tiny
-                step[4:6] = d.real, d.imag
+                step[at: at + 2] = d.real, d.imag
                 newton_step = np.linalg.lstsq(np.eye(x.size), step,
                                               rcond=None)[0]
                 t = 1.0
-                while t >= 1e-12 and not guard(x + t * newton_step):
+                while t >= floor and not guard(x + t * newton_step):
                     t *= 0.5
                 guards.clear()
                 got, calls = line_search(x, step, guard, reach)
                 assert gap < 5e-13 or len(guards) <= 3
-                if t < 1e-12:
+                if t < floor:
                     assert got is None and calls == 1
                 else:
                     want = x + t * newton_step
                     assert got.tobytes() == want.tobytes() and calls == 2
+
+
+def test_reach_at_the_tied_zero_keeps_the_first_passing_rung():
+    # only the tied zero moves, at angle 0.7 inside its guard circle
+    assert_reach_keeps_the_first_passing_rung(lambda gap: (solver._pack(
+        np.zeros(1), np.zeros(1), np.array([0.5j]),
+        (solver._TIED_RADIUS - gap) * np.exp(0.7j), 0.5), 4))
+
+
+def test_reach_at_a_zero_keeps_the_first_passing_rung():
+    # only the zero alpha_1 moves, at angle 0.7 inside its guard circle
+    assert_reach_keeps_the_first_passing_rung(lambda gap: (solver._pack(
+        np.zeros(1), np.zeros(1),
+        np.array([(solver._ZERO_RADIUS - gap) * np.exp(0.7j)]), 0.5j,
+        0.5), 2))
 
 
 def test_guard_rejects_a_modulus_beyond_the_largest_float():
@@ -438,11 +455,45 @@ def test_newton_gives_up_after_its_iteration_budget():
     assert abs(np.max(calls[-1]) - 0.75 ** 70) < 1e-20
 
 
+def newton_with_a_first_passing_rung(rung):
+    """`_damped_newton` from x = 0 with the Newton step e_0 (identity
+    Jacobian), where only the rungs t <= `rung` decrease the residual:
+    (result, iterations, residual calls)."""
+    calls = []
+
+    def residual(y):
+        calls.append(y)
+        if len(calls) == 1:
+            return -np.eye(1, 7)[0], None
+        return np.full(7, 0.0 if y[0] <= rung else 2.0), None
+
+    got, iters = solver._damped_newton(residual, lambda parts: np.eye(7),
+                                       np.zeros(7), lambda y: True,
+                                       lambda y, step: np.inf)
+    return got, iters, len(calls)
+
+
+def test_newton_accepts_a_step_on_its_last_rung():
+    # the 17 rungs 1, 1/2, ..., 2^-16 each cost a residual call, and the
+    # last one passes: one iteration, then the zero residual converges
+    assert solver._NEWTON_MIN_STEP == 2.0 ** -16
+    got, iters, calls = newton_with_a_first_passing_rung(2.0 ** -16)
+    assert (iters, calls) == (1, 18)
+    assert got.tobytes() == (2.0 ** -16 * np.eye(1, 7)[0]).tobytes()
+
+
+def test_newton_fails_below_its_last_rung():
+    # a decrease first at 2^-17 is past the end of the ladder: the start
+    # fails at its first iteration after the residuals of rungs 1 to 2^-16
+    assert newton_with_a_first_passing_rung(2.0 ** -17) == (None, 1, 18)
+
+
 def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
     # the pinned non-convex search of the test below, with the guard and
     # the residual counted: the line search starts at the first rung the
-    # zeros allow, so only the guard's work falls (9846 calls when every
-    # rung from 1 down was tested) and every residual stays
+    # zeros allow, so only the guard's work falls (2015 calls when every
+    # rung from 1 down to _NEWTON_MIN_STEP was tested) and every residual
+    # stays
     counts = {"guard": 0, "residual": 0}
     make_guard, system = solver._make_guard, solver._system
 
@@ -461,8 +512,8 @@ def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
     monkeypatch.setattr(solver, "_system", counting_system)
     res = solve_two_point(Ellipsoid((0.3, 1.0)),
                           TwoPointProblem((0.05, 0.2j), (0.1, -0.1)))
-    assert res.diagnostics.newton_iterations == 468
-    assert (counts["guard"], counts["residual"]) == (1786, 1334)
+    assert res.diagnostics.newton_iterations == 220
+    assert (counts["guard"], counts["residual"]) == (591, 425)
 
 
 @pytest.mark.parametrize("p, kind, z, tg", [
@@ -497,7 +548,7 @@ def test_nonconvex_search_enumerates_every_pattern():
     assert not res.certified
     d = res.diagnostics
     assert (d.patterns_tried, d.starts_tried, d.newton_iterations) == \
-        (4, 28, 468)
+        (4, 28, 220)
     assert d.pattern == (0, 1)
     assert res.scalar == 0.2727116147882784
     assert_gates(res)
