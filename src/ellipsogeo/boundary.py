@@ -1,10 +1,9 @@
 """Boundary-value analysis on uniform circle grids.
 
 Fourier coefficient extraction, an analyticity test (negative-frequency
-mass), outer functions synthesized from a prescribed log-modulus,
-Blaschke products, and a least-squares membership fit that decides
-whether candidate boundary data belongs to the rational-power extremal
-family at a given band degree.
+mass), and a least-squares membership fit that decides whether
+candidate boundary data belongs to the rational-power extremal family
+at a given band degree.
 """
 
 from __future__ import annotations
@@ -24,16 +23,9 @@ __all__ = [
     "FitPreconditionError",
     "FourierCoefficients",
     "analyticity_defect",
-    "blaschke_eval",
     "fit_extremal_family",
     "fourier_coefficients",
-    "outer_from_log_modulus",
-    "OuterFunction",
 ]
-
-
-def _as_samples(g) -> np.ndarray:
-    return np.asarray(g, dtype=complex).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,7 @@ class FourierCoefficients:
 
 def fourier_coefficients(g) -> FourierCoefficients:
     """Coefficients (1/M) sum_i g_i exp(-2 pi i k i_grid / M), centered order."""
-    v = _as_samples(g)
+    v = np.asarray(g, dtype=complex).reshape(-1)
     M = v.size
     if not np.all(np.isfinite(v)):
         raise ValueError("samples contain non-finite values")
@@ -70,72 +62,6 @@ def analyticity_defect(g) -> float:
     fc = fourier_coefficients(g)
     neg = fc.values[fc.indices < 0]
     return float(np.max(np.abs(neg)))
-
-
-@dataclass(frozen=True)
-class OuterFunction:
-    """Zero-free analytic function F with prescribed |F| on the circle.
-
-    Stored via the Taylor coefficients of log F; F(0) = exp(c_0) > 0 is
-    the normalization (c_0 real).  Evaluation is plain Horner on log F
-    followed by exp, valid on the closed disc.
-    """
-
-    log_taylor: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.log_taylor, dtype=complex).reshape(-1)
-        if c.size == 0 or abs(c[0].imag) > 1e-9:
-            raise ValueError("log F must have a real constant term")
-        c.setflags(write=False)
-        object.__setattr__(self, "log_taylor", c)
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(np.polyval(self.log_taylor[::-1], z))
-
-    def boundary_log_modulus(self, M: int) -> np.ndarray:
-        zeta = unit_circle_grid(M)
-        return np.log(np.abs(self(zeta)))
-
-
-def outer_from_log_modulus(logmod) -> OuterFunction:
-    """Outer function with boundary modulus exp(logmod) on the sample grid.
-
-    The Herglotz reconstruction reads off FFT coefficients of the real
-    input: log F has Taylor coefficients (c_0, 2 c_1, ..., 2 c_{M/2-1},
-    c_{M/2}), which reproduces the grid samples exactly when the input
-    is band-limited to |k| <= M/2.
-    """
-    v = _as_samples(logmod)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("log-modulus samples contain non-finite values")
-    if np.max(np.abs(v.imag)) > 1e-12 * max(1.0, np.max(np.abs(v.real))):
-        raise ValueError("log-modulus samples must be real")
-    x = v.real
-    M = x.size
-    c = np.fft.fft(x) / M
-    taylor = np.empty(M // 2 + 1, dtype=complex)
-    taylor[0] = c[0].real
-    taylor[1: M // 2] = 2.0 * c[1: M // 2]
-    taylor[M // 2] = c[M // 2].real
-    return OuterFunction(taylor)
-
-
-def blaschke_eval(zeros, lam):
-    """Finite Blaschke product prod_k (lam - b_k) / (1 - conj(b_k) lam).
-
-    All zeros must lie strictly inside the disc; an empty zero list
-    yields the constant 1.
-    """
-    zs = np.asarray(zeros, dtype=complex).reshape(-1)
-    if np.any(np.abs(zs) >= 1.0):
-        raise ValueError("Blaschke zeros must lie strictly inside the disc")
-    lam = np.asarray(lam, dtype=complex)
-    out = np.ones_like(lam, dtype=complex)
-    for b in zs:
-        out = out * (lam - b) / (1.0 - np.conj(b) * lam)
-    return out
 
 
 class FitPreconditionError(ValueError):
@@ -268,6 +194,13 @@ def fit_extremal_family(
         raise FitPreconditionError(f"component {np.argmax(short)} has too "
                                    "few usable samples after masking")
     data = logmods[masks]
+    # Levenberg-Marquardt needs a residual per unknown; fewer usable
+    # samples would fail every start
+    nfree = np.count_nonzero(free)
+    unknowns = n + 2 * (nfree + m)
+    if data.size < unknowns:
+        raise FitPreconditionError(f"{data.size} usable samples cannot "
+                                   f"determine {unknowns} unknowns")
 
     def unpack(x):
         """(rho, the (m, n) zero matrix, the tied zeros alpha0) of x."""
@@ -299,7 +232,6 @@ def fit_extremal_family(
     # d model_j / d log |1 - conj(z_k) zeta| for the k-th zero of the
     # unknown vector: 1 / p_j for a free zero of component j, -1 / p_j on
     # every component for a tied zero, 0 elsewhere
-    nfree = np.count_nonzero(free)
     owner = np.nonzero(free.T)[0]
     weight = np.zeros((n, 1, nfree + m))
     weight[owner, 0, np.arange(nfree)] = 1.0 / p[owner]

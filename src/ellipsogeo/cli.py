@@ -316,6 +316,10 @@ def cmd_oracle(args, obj: dict) -> int:
     kind = obj["kind"]
     config = {"kind": kind, "degree": args.degree, "seed": args.seed}
     if kind == "mobius":
+        # the closed form reads only the problem, so check it against the
+        # ellipsoid here; the other oracles go through solver._intake
+        if len(problem.z) != ellipsoid.dim:
+            raise ValueError("problem dimension does not match the ellipsoid")
         value, params = solver.mobius_oracle(problem)
         _emit(args, config, status="ok", value=value,
               params=extremal_map.params_to_json(params))

@@ -8,9 +8,8 @@ c_k = conj(c_{2m-k}) takes values with P(zeta) / zeta^m real on
 
 with every a_k in the closed unit disc.  Roots off the circle come in
 reflected pairs (b, 1/conj(b)); roots on the circle have even
-multiplicity.  This module expands such products, recovers (r, {a_k})
-from coefficients, and rebuilds the coefficient band from boundary
-samples of a map divided by known inner zeros.
+multiplicity.  This module expands such products and recovers
+(r, {a_k}) from coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "check_self_inversive",
     "expand_circle_product",
     "factor",
-    "reconstruct_from_boundary",
     "unit_circle_grid",
 ]
 
@@ -83,15 +81,10 @@ class SelfInversivePoly:
 
 @dataclass(frozen=True)
 class CircleRationalForm:
-    """Factored data (r, {a_k}) with r > 0 and all |a_k| <= 1.
-
-    Optionally carries the boundary divisor points sigma used during a
-    reconstruction; empty when the object came straight from factoring.
-    """
+    """Factored data (r, {a_k}) with r > 0 and all |a_k| <= 1."""
 
     scale: float
     zeros: tuple[complex, ...]
-    sigma: tuple[complex, ...] = ()
 
     def __post_init__(self):
         if not (self.scale > 0):
@@ -101,7 +94,6 @@ class CircleRationalForm:
             if abs(a) > 1 + 1e-9:
                 raise ValueError(f"zero {a} lies outside the closed disc")
         object.__setattr__(self, "zeros", zs)
-        object.__setattr__(self, "sigma", tuple(complex(s) for s in self.sigma))
 
     @property
     def m(self) -> int:
@@ -192,18 +184,15 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
     closest to the input wins, except that among attempts exact to
     roundoff the one with the fewest distinct zeros wins.
 
-    Raises FactorError when the polynomial is not self-inversive, takes
-    negative values on the circle, or its roots cannot be grouped within
-    tolerance (a group of odd size at every collar).
+    Raises FactorError when the polynomial takes negative values on the
+    circle or its roots cannot be grouped within tolerance (a group of
+    odd size at every collar).
     """
     c = np.asarray(poly.coefficients, dtype=complex)
     m = poly.m
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         raise FactorError("zero polynomial")
-    sym = check_self_inversive(c)
-    if sym > max(tol, poly.tol) * scale:
-        raise FactorError(f"self-inversive symmetry residual {sym:.3e} too large")
 
     # sign check on a fixed circle grid: P(zeta) / zeta^m must be >= 0
     grid = unit_circle_grid(1024)
@@ -301,54 +290,3 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
             f"(best attempt at collar {collar:.0e})"
         )
     return CircleRationalForm(r, tuple(zeros))
-
-
-_BAND_TOL = 1e-8   # out-of-band coefficients allowed, relative to the scale
-
-
-def reconstruct_from_boundary(samples, sigma) -> CircleRationalForm:
-    """Rebuild (r, {a_k}) from circle samples of P(zeta) / prod(1 - conj(s) zeta).
-
-    `samples` holds values on the uniform M-point circle grid
-    zeta_i = exp(2 pi i i_grid / M) of a function known a priori to have
-    the form P(zeta) / prod_k (1 - conj(sigma_k) zeta) with P
-    self-inversive of degree 2m, m = len(sigma), and nonnegative on the
-    circle after dividing by zeta^m.  Multiplying the samples by the
-    denominator and taking an FFT exposes the coefficient band 0..2m;
-    everything outside that band (negative frequencies included, which
-    alias to the top of the spectrum) must vanish within `_BAND_TOL`
-    relative to the coefficient scale, otherwise the data is rejected.
-    """
-    v = np.asarray(samples, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("samples must be a 1-d array")
-    sig = np.asarray(sigma, dtype=complex)
-    m = sig.size
-    M = v.size
-    if M < max(8 * m, 8):
-        raise ValueError(f"need at least {max(8 * m, 8)} samples, got {M}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("samples contain non-finite values")
-    if np.any(np.abs(sig) >= 1.0):
-        raise ValueError("divisor points sigma must lie in the open disc")
-
-    grid = unit_circle_grid(M)
-    mult = v.copy()
-    for s in sig:
-        mult *= 1.0 - np.conj(s) * grid
-
-    coef = np.fft.fft(mult) / M  # index k -> coefficient of zeta^k (mod M)
-    scale = max(float(np.max(np.abs(coef))), 1e-300)
-    band = coef[: 2 * m + 1].copy()
-    out_of_band = coef[2 * m + 1:]
-    if out_of_band.size:
-        worst = float(np.max(np.abs(out_of_band)))
-        if worst > _BAND_TOL * scale:
-            raise FactorError(
-                f"out-of-band coefficient {worst:.3e} exceeds tolerance; "
-                "data is not a band-limited circle-nonnegative form"
-            )
-
-    poly = SelfInversivePoly(tuple(band), tol=1e-8)
-    form = factor(poly, tol=1e-7)
-    return CircleRationalForm(form.scale, form.zeros, tuple(sig))

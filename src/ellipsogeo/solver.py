@@ -808,11 +808,11 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
+def _brute_objective(p, z, tg, kind, scalar, degree, zeta):
     """Hinge-penalty objective at a fixed scalar; returns (cost_grad, build).
 
-    The penalty sum of max(u + margin, 0)^2 over the circle grid comes
-    with its exact gradient: the disc depends on the free numerator
+    The penalty sum of max(u + _BRUTE_MARGIN, 0)^2 over the circle grid
+    comes with its exact gradient: the disc depends on the free numerator
     coefficients holomorphically and on the denominator zeros only
     through their conjugates, so Wirtinger chain rules give every
     partial in closed form.  Finite differences are useless here; close
@@ -879,7 +879,7 @@ def _brute_objective(p, z, tg, kind, scalar, degree, margin, zeta):
         _, fac, q, qs_fac, qs, g = assemble(chigh, beta)
         absg = np.abs(g)
         u = np.sum(absg ** expo, axis=0) - 1.0
-        viol = np.maximum(u + margin, 0.0)
+        viol = np.maximum(u + _BRUTE_MARGIN, 0.0)
         cost = float(np.sum(viol * viol))
         grad = np.zeros(nfree)
         if cost == 0.0:
@@ -941,8 +941,7 @@ def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, zeta, zeta_cert):
     an earlier one (the warm witness of a z = 0 disc is often x = 0) is
     skipped: it would repeat that run exactly.
     """
-    cost_grad, _ = _brute_objective(p, z, tg, kind, scalar, degree,
-                                    _BRUTE_MARGIN, zeta)
+    cost_grad, _ = _brute_objective(p, z, tg, kind, scalar, degree, zeta)
     opts = {"maxiter": _BRUTE_MAXITER, "ftol": 1e-30, "gtol": 1e-30}
     best = None
     tried = set()
@@ -959,7 +958,7 @@ def _brute_feasible(p, z, tg, kind, scalar, degree, x0_list, zeta, zeta_cert):
     if not best.fun < 1e-20:
         return None
     fine_cg, fine_build = _brute_objective(p, z, tg, kind, scalar, degree,
-                                           _BRUTE_MARGIN, zeta_cert)
+                                           zeta_cert)
     res = minimize(fine_cg, best.x, method="L-BFGS-B", jac=True,
                    options=opts)
     if not res.fun < 1e-20:

@@ -1,4 +1,4 @@
-"""Circle-grid Fourier analysis, outer functions, family membership fit."""
+"""Circle-grid Fourier analysis and the family membership fit."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,13 @@ from ellipsogeo import (
     Ellipsoid,
     FitPreconditionError,
     analyticity_defect,
-    blaschke_eval,
     fit_extremal_family,
     fourier_coefficients,
-    outer_from_log_modulus,
 )
 from ellipsogeo import boundary, extremal_map as em
 
 M0 = 64
-ANGLES = 2 * np.pi * np.arange(M0) / M0
-ZETA = np.exp(1j * ANGLES)
+ZETA = np.exp(2j * np.pi * np.arange(M0) / M0)
 
 
 # --- Fourier coefficients ---------------------------------------------------
@@ -68,66 +65,6 @@ def test_analyticity_defect_vanishes_for_polynomials(seed):
     c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     vals = np.polyval(c[::-1], ZETA)
     assert analyticity_defect(vals) < 1e-11 * max(1.0, np.max(np.abs(c)))
-
-
-# --- outer functions --------------------------------------------------------
-
-def test_outer_of_zero_log_modulus_is_one():
-    F = outer_from_log_modulus(np.zeros(M0))
-    assert abs(F(0.3 + 0.2j) - 1.0) < 1e-13
-
-
-def test_outer_first_harmonic_exponential():
-    F = outer_from_log_modulus(np.cos(ANGLES))
-    assert abs(F(0.5) - np.exp(0.5)) < 1e-10
-
-
-def test_outer_recovers_linear_factor():
-    logmod = np.log(np.abs(1 - 0.5 * ZETA))
-    F = outer_from_log_modulus(logmod)
-    for lam in (0.0, 0.3 - 0.4j, -0.7j):
-        assert abs(F(lam) - (1 - 0.5 * lam)) < 1e-8
-
-
-def test_outer_rejects_complex_input():
-    with pytest.raises(ValueError):
-        outer_from_log_modulus(ZETA)
-
-
-@given(st.integers(0, 500))
-@settings(max_examples=20, deadline=None)
-def test_outer_boundary_modulus_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    # band-limited real log-modulus
-    c = rng.standard_normal(4) * 0.3
-    logmod = (c[0] + c[1] * np.cos(ANGLES) + c[2] * np.sin(2 * ANGLES)
-              + c[3] * np.cos(3 * ANGLES))
-    F = outer_from_log_modulus(logmod)
-    back = F.boundary_log_modulus(M0)
-    assert np.max(np.abs(back - logmod)) < 1e-10
-    assert F(0.0).imag == pytest.approx(0.0, abs=1e-12)
-    assert F(0.0).real > 0
-
-
-# --- Blaschke products ------------------------------------------------------
-
-def test_blaschke_empty_product():
-    assert blaschke_eval((), 0.7 - 0.2j) == 1.0
-
-
-def test_blaschke_vanishes_at_zero():
-    assert abs(blaschke_eval((0.5,), 0.5)) < 1e-15
-
-
-def test_blaschke_unimodular_on_circle():
-    for theta in (0.0, 1.1, 2.5, 4.0):
-        v = blaschke_eval((0.5, -0.2 + 0.1j), np.exp(1j * theta))
-        assert abs(abs(v) - 1.0) < 1e-12
-
-
-def test_blaschke_rejects_exterior_zero():
-    with pytest.raises(ValueError):
-        blaschke_eval((1.0,), 0.3)
 
 
 # --- membership fit ---------------------------------------------------------
@@ -277,6 +214,39 @@ def test_fit_rejects_too_many_non_finite_samples():
     with pytest.raises(FitPreconditionError,
                        match="^too many non-finite candidate samples$"):
         fit_extremal_family(samples, ((), ()), Ellipsoid((1.0, 1.0)), 1)
+
+
+def _sparse_member(nan_columns):
+    # a band degree 4 member on 32 samples with no pinned zeros: 17
+    # unknowns, rho and 8 complex zeros; each non-finite column masks
+    # itself and its two neighbours
+    rng = np.random.default_rng(3)
+    E = Ellipsoid((1.5,))
+    params = em.random_valid_params(rng, E.exponents, 4)
+    trace = em.boundary_trace(params, E, 32)
+    trace[:, nan_columns] = np.nan
+    return trace, ((),), E, 4
+
+
+UNDERDETERMINED = [0, 1, 8, 9, 16, 17, 24, 25]   # 16 usable samples
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_refuses_fewer_usable_samples_than_unknowns(monkeypatch):
+    runs = _spy_least_squares(monkeypatch)
+    with pytest.raises(FitPreconditionError,
+                       match="^16 usable samples cannot determine "
+                             "17 unknowns$"):
+        fit_extremal_family(*_sparse_member(UNDERDETERMINED))
+    assert runs == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_runs_with_as_many_usable_samples_as_unknowns(monkeypatch):
+    runs = _spy_least_squares(monkeypatch)
+    rep = fit_extremal_family(*_sparse_member(UNDERDETERMINED[:-1]))
+    assert runs
+    assert rep.masked == 32 - 17
 
 
 def _spy_least_squares(monkeypatch):

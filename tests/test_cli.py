@@ -180,6 +180,20 @@ def test_oracle_mobius_point_direction(tmp_path):
         pytest.approx((1 - 0.25) / 2.0, abs=1e-15)
 
 
+def test_oracle_mobius_refuses_a_dimension_mismatch(tmp_path, capsys):
+    inp = tmp_path / "prob.json"
+    write_json(inp, {
+        "kind": "mobius",
+        "ellipsoid": {"p": [1.0, 2.0]},
+        "two_point": {"z": [[0.2, 0.0]], "w": [[0.6, 0.0]]},
+    })
+    assert cli.main(["oracle", "--input", str(inp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: problem dimension does not match the "
+                            "ellipsoid\n")
+
+
 def test_oracle_kinds(tmp_path):
     inp = tmp_path / "prob.json"
     write_json(inp, {
@@ -341,6 +355,19 @@ def fit_input(band_degree, scale=1.0):
                       for zs in em.component_zeros(params)]}
 
 
+def underdetermined_fit_input():
+    # 16 usable samples for 17 unknowns, as in test_boundary.py: a typed
+    # refusal, not a traceback
+    rng = np.random.default_rng(3)
+    E = Ellipsoid((1.5,))
+    params = em.random_valid_params(rng, E.exponents, 4)
+    trace = em.boundary_trace(params, E, 32)
+    trace[:, [0, 1, 8, 9, 16, 17, 24, 25]] = np.nan
+    return {"ellipsoid": E.to_json(), "m": 4,
+            "samples": [[em.pair(v) for v in row] for row in trace],
+            "zeros": [[]]}
+
+
 def broken_bundle():
     bundle = flat_bundle()
     bundle["params"]["a"] = [[0.9, 0.0], [0.9, 0.0]]
@@ -368,6 +395,8 @@ ENVELOPE_CASES = {
     "fit-ok": ("fit", lambda: fit_input(1), [], 0, "ok"),
     "fit-rejected": ("fit", lambda: fit_input(2), [], 2, "rejected"),
     "fit-failed": ("fit", lambda: fit_input(1, scale=2.0), [], 2, "failed"),
+    "fit-underdetermined": ("fit", underdetermined_fit_input, [], 2,
+                            "failed"),
     "functional-build": ("functional", lambda: {"build": {
         "kind": "point-direction", "z": [[0.0, 0.0]], "X": [[1.0, 0.0]]}},
         [], 0, "ok"),

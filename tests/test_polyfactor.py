@@ -1,4 +1,4 @@
-"""Self-inversive expansion, factorization, and boundary reconstruction."""
+"""Self-inversive expansion and factorization."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from ellipsogeo import (
     SelfInversivePoly,
     check_self_inversive,
     factor,
-    reconstruct_from_boundary,
 )
 from ellipsogeo.polyfactor import expand_circle_product
 
@@ -177,50 +176,3 @@ def test_form_rejects_zero_outside_disc():
 def test_form_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
         CircleRationalForm(0.0, (0.5,))
-
-
-# --- boundary reconstruction ------------------------------------------------
-
-def circle_samples(coeffs, M=64):
-    zeta = np.exp(2j * np.pi * np.arange(M) / M)
-    return np.polyval(np.asarray(coeffs)[::-1], zeta)
-
-
-def test_reconstruct_mobius_numerator_with_trivial_divisor():
-    samples = circle_samples(expand_circle_product(1.0, (0.5,)))
-    got = reconstruct_from_boundary(samples, (0.0,))
-    assert got.scale == pytest.approx(1.0, abs=1e-10)
-    assert zero_mismatch(got.zeros, (0.5,)) < 1e-8
-    assert got.sigma == (0.0,)
-
-
-def test_reconstruct_identity_map_data():
-    samples = circle_samples((0.0, 1.0, 0.0))
-    got = reconstruct_from_boundary(samples, (0.0,))
-    assert zero_mismatch(got.zeros, (0.0,)) < 1e-10
-
-
-def test_reconstruct_rejects_out_of_band_energy():
-    M = 64
-    zeta = np.exp(2j * np.pi * np.arange(M) / M)
-    with pytest.raises(FactorError):
-        reconstruct_from_boundary(zeta ** 3, (0.0,))
-
-
-def test_reconstruct_divides_out_declared_divisor():
-    # the divisor length fixes the band: len(sigma) = m = number of zeros
-    sig = (0.4 + 0.3j, -0.1j)
-    zeros = (0.2 - 0.6j, 0.7)
-    c = expand_circle_product(0.8, zeros)
-    M = 128
-    zeta = np.exp(2j * np.pi * np.arange(M) / M)
-    den = (1 - np.conj(sig[0]) * zeta) * (1 - np.conj(sig[1]) * zeta)
-    got = reconstruct_from_boundary(np.polyval(c[::-1], zeta) / den, sig)
-    assert abs(got.scale - 0.8) < 1e-9
-    assert zero_mismatch(got.zeros, zeros) < 1e-8
-
-
-def test_reconstruct_rejects_exterior_divisor_point():
-    samples = circle_samples((0.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        reconstruct_from_boundary(samples, (1.5,))

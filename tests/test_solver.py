@@ -859,7 +859,7 @@ def test_brute_objective_gradient_matches_differences(kind, n, degree, start):
     p, z, tg, scalar = objective_data(kind, n)
     zeta = np.exp(2j * np.pi * np.arange(64) / 64)
     cost_grad, _build = _brute_objective(p, z, tg, kind, scalar, degree,
-                                         1e-6, zeta)
+                                         zeta)
     nfree = 2 * n * (degree - 1) + 2 * degree
     if start == "zero":
         x = np.zeros(nfree)
@@ -975,9 +975,10 @@ def test_brute_objective_is_bit_identical_to_the_loop_form(kind, n, degree):
                             (False, rng.uniform(-2.0, 2.0, nfree)),
                             (True, 0.01 * rng.standard_normal(nfree))):
             p, z, tg, scalar = objective_data(kind, n, feasible)
-            args = (p, z, tg, kind, scalar, degree, 1e-6, zeta)
-            cost_grad, build = _brute_objective(*args)
-            ref_cg, ref_build = loop_objective(*args)
+            args = (p, z, tg, kind, scalar, degree)
+            cost_grad, build = _brute_objective(*args, zeta)
+            ref_cg, ref_build = loop_objective(*args, solver._BRUTE_MARGIN,
+                                               zeta)
             cost, grad = cost_grad(x)
             ref_cost, ref_grad = ref_cg(x)
             assert (cost == 0.0) == feasible
