@@ -13,10 +13,11 @@ with the default `SolverConfig`.
 Each line gives the kind, n, the outcome, the scalar as `float.hex`, the
 flag pattern, patterns / starts / Newton iterations, the candidates
 (pattern:scalar.hex) and, for a failed solve, the `SolveError` message.
-The last line totals the Newton iterations and the calls of the
-residual and of the line-search guard, counted through wrappers around
-`solver._system`, `solver._damped_newton` and `solver._make_guard`, and
-the solve seconds.  Everything but the guard calls and the seconds is
+The last line totals the Newton iterations, the residual rows, the
+batched residual calls that evaluate them, the line-search guard calls
+and the solve seconds, counted through wrappers around `solver._system`,
+`solver._damped_newton` and `solver._validate` (see `count_search`).
+Everything but the residual calls, the guard calls and the seconds is
 the search's result, so two versions of the solver that take the same
 Newton path print the same lines.
 
@@ -54,33 +55,60 @@ def ellipsoid_point(rng, ellipsoid, slack=0.15):
 
 
 def count_search():
-    """Route the solver's pattern, start and guard makers through counters."""
-    counts = {"patterns": 0, "starts": 0, "iterations": 0,
-              "residuals": 0, "guards": 0}
-    system, newton, make_guard = (solver._system, solver._damped_newton,
-                                  solver._make_guard)
+    """Route the solver's flag patterns, Newton batches and validations
+    through counters; returns the counts and the `settle` to call after
+    each solve.
 
-    def counted(fun, key):
-        def call(*args):
-            counts[key] += 1
-            return fun(*args)
-        return call
+    A row of a Newton batch is one start, and the batch reports the
+    iterations, residual rows and guard calls of each.  The search
+    validates a batch's converged starts in start order and keeps the
+    first that passes, so the starts after it count as never run: the
+    counts are those of a search that runs its starts one at a time.
+    `residual_calls` counts the batched residual calls themselves.
+    """
+    counts = {"patterns": 0, "starts": 0, "iterations": 0,
+              "residuals": 0, "residual_calls": 0, "guards": 0}
+    system, newton, validate = (solver._system, solver._damped_newton,
+                                solver._validate)
+    batch = {}      # the last batch, until the search is done with it
+
+    def settle(last=None):
+        """Count the open batch's starts, up to start `last` if given."""
+        if batch:
+            used = slice(None if last is None else last + 1)
+            counts["starts"] += len(batch["iterations"][used])
+            for key in ("iterations", "residuals", "guards"):
+                counts[key] += sum(batch[key][used])
+            batch.clear()
 
     def counting_system(*args):
         counts["patterns"] += 1
         F, jac = system(*args)
-        return counted(F, "residuals"), jac
+
+        def residual(x):
+            counts["residual_calls"] += 1
+            return F(x)
+        return residual, jac
 
     def counting_newton(*args):
-        counts["starts"] += 1
-        x, iters = newton(*args)
-        counts["iterations"] += iters
-        return x, iters
+        settle()
+        found, iters, evals, tests = newton(*args)
+        batch.update(iterations=iters, residuals=evals, guards=tests,
+                     converged=[k for k, x in enumerate(found)
+                                if x is not None])
+        return found, iters, evals, tests
+
+    def counting_validate(*args):
+        ok, report = validate(*args)
+        start = batch["converged"].pop(0)
+        if ok:
+            settle(start)
+        return ok, report
 
     solver._system = counting_system
     solver._damped_newton = counting_newton
-    solver._make_guard = lambda *args: counted(make_guard(*args), "guards")
-    return counts
+    solver._validate = counting_validate
+    return counts, settle
 
 
 def problems(seed, count, nonconvex):
@@ -113,7 +141,7 @@ def main():
                     help="draw p in [0.25, 1.5] instead of [0.5, 3.0]")
     args = ap.parse_args()
 
-    counts = count_search()
+    counts, settle = count_search()
     failures, seconds = 0, 0.0
     for i, (E, prob, solve) in enumerate(problems(args.seed, args.count,
                                                   args.nonconvex)):
@@ -124,6 +152,7 @@ def main():
         except SolveError as exc:
             res, error = None, str(exc)
         seconds += time.perf_counter() - t0
+        settle()
         work = "/".join(str(counts[k] - before[k])
                         for k in ("patterns", "starts", "iterations"))
         kind = "tp" if isinstance(prob, TwoPointProblem) else "pd"
@@ -137,7 +166,9 @@ def main():
               f"{flags(d.pattern)} {work} {cands}")
     print(f"problems={args.count} failures={failures} "
           f"newton_iterations={counts['iterations']} "
-          f"residuals={counts['residuals']} guards={counts['guards']} "
+          f"residuals={counts['residuals']} "
+          f"residual_calls={counts['residual_calls']} "
+          f"guards={counts['guards']} "
           f"seconds={seconds:.2f}")
 
 

@@ -37,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """The value of a --tol or --boundary-tol option: a number >= 0."""
+    try:
+        return polyfactor.check_tolerance(float(text), "tolerance")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -376,15 +384,15 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="check family invariants")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--boundary-tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_tolerance, default=1e-10)
+    sp.add_argument("--boundary-tol", type=_tolerance, default=1e-8)
     sp.add_argument("--grid", type=int, default=512)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("solve", help="solve an extremal problem")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--boundary-tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
+    sp.add_argument("--boundary-tol", type=_tolerance, default=1e-8)
     sp.add_argument("--grid", type=int, default=512)
     sp.add_argument("--starts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
@@ -393,12 +401,12 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("factor", help="factor a self-inversive polynomial")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_tolerance, default=1e-6)
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("fit", help="fit boundary data to the family")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_tolerance, default=1e-6)
     sp.add_argument("--m", type=int, default=1)
     sp.set_defaults(func=cmd_fit)
 

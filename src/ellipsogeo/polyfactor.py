@@ -23,6 +23,7 @@ __all__ = [
     "FactorError",
     "SelfInversivePoly",
     "check_self_inversive",
+    "check_tolerance",
     "expand_circle_product",
     "factor",
     "unit_circle_grid",
@@ -36,6 +37,18 @@ class FactorError(ValueError):
 def unit_circle_grid(M: int) -> np.ndarray:
     """The M-th roots of unity exp(2 pi i k / M), k = 0..M-1."""
     return np.exp(2j * np.pi * np.arange(M) / M)
+
+
+def check_tolerance(tol: float, name: str = "tol") -> float:
+    """Refuse a NaN or negative tolerance with ValueError; return it.
+
+    A tolerance only feeds comparisons such as `res > tol * scale`, and
+    every comparison with NaN is false, so a NaN tolerance would switch
+    off the tests it feeds instead of failing.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"{name} = {tol} must be a number >= 0")
+    return tol
 
 
 def check_self_inversive(coeffs) -> float:
@@ -64,6 +77,7 @@ class SelfInversivePoly:
     tol: float = 1e-9
 
     def __post_init__(self):
+        check_tolerance(self.tol)
         c = np.asarray(self.coefficients, dtype=complex)
         res = check_self_inversive(c)
         scale = max(float(np.max(np.abs(c))), 1e-300)
@@ -186,8 +200,9 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
 
     Raises FactorError when the polynomial takes negative values on the
     circle or its roots cannot be grouped within tolerance (a group of
-    odd size at every collar).
+    odd size at every collar), and ValueError for a NaN or negative tol.
     """
+    check_tolerance(tol)
     c = np.asarray(poly.coefficients, dtype=complex)
     m = poly.m
     scale = float(np.max(np.abs(c)))

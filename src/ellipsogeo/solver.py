@@ -11,9 +11,17 @@ The unknown vector stacks log-moduli and phases of the a_j, the
 per-component zeros, the tied zero, and the scalar (sigma or t); the
 interpolation conditions plus the three real tying equations make the
 system square, and a damped Newton iteration with a closed-form Jacobian
-and seeded multistart per flag pattern hunts for roots.  Candidates are
-re-validated from scratch (interpolation, tying identity, boundary
-closeness) before they are allowed to compete on the scalar.  On a
+and seeded multistart per flag pattern hunts for roots.  A pattern's base
+start runs alone; if it gives no validated candidate, its perturbed
+starts run as one batch in lockstep (`_damped_newton`), sharing every
+residual and Jacobian call while each takes, bit for bit, the path it
+takes alone (which is why the tying row takes |alpha0| from the scalar
+`abs`, see `_system`), and the lowest-numbered start that validates
+wins.  The batch draws all its perturbations up front, so the random
+generator is then set back to where a search drawing one start at a time
+would have stopped, and later patterns get that search's starts.
+Candidates are re-validated from scratch (interpolation, tying identity,
+boundary closeness) before they are allowed to compete on the scalar.  On a
 convex ellipsoid every validated candidate is a complex geodesic
 (Lempert), so the search stops at the first one; on a non-convex
 ellipsoid every admissible flag pattern is searched.
@@ -27,6 +35,7 @@ zero-free on the closed disc.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -37,7 +46,7 @@ import numpy as np
 from .ellipsoid import Ellipsoid, PointClass
 from . import extremal_map
 from .extremal_map import ExtremalMapParams
-from .polyfactor import unit_circle_grid
+from .polyfactor import check_tolerance, unit_circle_grid
 
 __all__ = [
     "BruteForceError",
@@ -117,6 +126,8 @@ class SolverConfig:
         extremal_map.check_grid(self.boundary_grid, 1, "boundary_grid")
         if self.starts < 0:
             raise ValueError(f"starts = {self.starts} must be at least 0")
+        for name in ("interpolation_tol", "constraint_tol", "boundary_tol"):
+            check_tolerance(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -135,8 +146,11 @@ class SolveDiagnostics:
 
     `patterns_tried` counts the flag patterns entered, `starts_tried`
     the Newton starts over them, `newton_iterations` the Newton steps
-    over all starts; `candidates` lists the validated (pattern, scalar)
-    pairs, at most one per pattern, in search order.
+    over those starts; `candidates` lists the validated (pattern, scalar)
+    pairs, at most one per pattern, in search order.  The starts of a
+    batch after its winner ran in lockstep with it but are not counted,
+    so the counts are those of a search that runs its starts one at a
+    time.
     """
 
     pattern: tuple[int, ...]
@@ -248,11 +262,13 @@ _NEWTON_MIN_STEP = 2.0 ** -16   # the last rung of the line search
 
 
 def _damped_newton(F, jac, x0, guard, reach):
-    """Newton with a backtracking (Armijo) line search.
+    """Newton with a backtracking (Armijo) line search, on a batch of
+    starts in lockstep.
 
-    F(x) returns the residual and the intermediate values from which
-    jac builds the Jacobian at the same x.  Returns (x, iterations) on
-    convergence, (None, iterations) on failure.  `guard` rejects
+    x0 stacks the starts, one per row.  F(x) takes a stack of iterates
+    and returns their residuals, one row each, with the intermediate
+    values from which jac builds the stacked Jacobians at the same x.
+    `guard` and `reach` see one iterate at a time; `guard` rejects
     out-of-box iterates before F is called.  The line search tries the
     rungs 1, 1/2, 1/4, ... down to `_NEWTON_MIN_STEP` = 2^-16, but starts
     at the first rung not above 2 reach(x, step): every rung above it
@@ -263,32 +279,106 @@ def _damped_newton(F, jac, x0, guard, reach):
     start that only moves on shorter rungs is crawling toward a guard
     circle or a stalled residual, and no converging start has been seen
     to need a rung below 2^-14.
+
+    The starts share the calls, not the arithmetic.  Each step builds one
+    Jacobian stack for every start still iterating; each round of the
+    line search moves every start still searching down past the rungs
+    its guard rejects, and one residual call evaluates all of their
+    rungs.  The Newton step (one `lstsq` per start), the guard, `reach`
+    and the Armijo test stay per start, and `_system` computes every row
+    as it computes a stack of one, so each start takes the path, bit for
+    bit, that it takes alone.
+
+    Returns four lists with one entry per start: the converged x or None,
+    the Newton iterations, and the start's residual evaluations (rows)
+    and guard calls, which keep the work of each start countable when
+    the starts share their calls.
     """
-    x = np.array(x0, dtype=float)
-    if not guard(x):
-        return None, 0
+    size = len(x0)
+    found, iters, evals, tests = ([None] * size, [0] * size, [0] * size,
+                                  [1] * size)
+    live = [b for b in range(size) if guard(x0[b])]
+    if not live:
+        return found, iters, evals, tests
+    x = x0 if len(live) == size else x0[live]
     fx, parts = F(x)
-    nrm = float(np.max(np.abs(fx)))
+    nrm = np.maximum.reduce(np.abs(fx), axis=1).tolist()
+    for b in live:
+        evals[b] = 1
     for it in range(_NEWTON_MAX_ITER):
-        if nrm < _NEWTON_TOL:
-            return x, it
-        step, *_ = np.linalg.lstsq(jac(parts), -fx, rcond=None)
-        t = 1.0
-        skip = 2.0 * reach(x, step)
-        while t > skip and t >= _NEWTON_MIN_STEP:
-            t *= 0.5
-        while t >= _NEWTON_MIN_STEP:
-            xn = x + t * step
-            if guard(xn):
-                fn, pn = F(xn)
-                nn = float(np.max(np.abs(fn)))
-                if nn <= (1.0 - 1e-4 * t) * nrm or nn < _NEWTON_TOL:
-                    break
-            t *= 0.5
-        else:
-            return None, it + 1
-        x, fx, parts, nrm = xn, fn, pn, nn
-    return (x if nrm < _NEWTON_TOL else None), _NEWTON_MAX_ITER
+        if any(v < _NEWTON_TOL for v in nrm):
+            keep = []
+            for k, v in enumerate(nrm):
+                if v < _NEWTON_TOL:
+                    found[live[k]], iters[live[k]] = x[k], it
+                else:
+                    keep.append(k)
+            if not keep:
+                return found, iters, evals, tests
+            live = [live[k] for k in keep]
+            nrm = [nrm[k] for k in keep]
+            x, fx, *parts = (q[keep] for q in (x, fx, *parts))
+        J = jac(parts)
+        bases, steps, rungs = list(x), [], []
+        for k, xk in enumerate(bases):
+            step = np.linalg.lstsq(J[k], -fx[k], rcond=None)[0]
+            t = 1.0
+            skip = 2.0 * reach(xk, step)
+            while t > skip and t >= _NEWTON_MIN_STEP:
+                t *= 0.5
+            steps.append(step)
+            rungs.append(t)
+        searching = range(len(live))
+        moved = []      # per round: rows tried, rows passed, norms, state
+        while searching:
+            trial, trial_x = [], []
+            for k in searching:
+                t = rungs[k]
+                while t >= _NEWTON_MIN_STEP:
+                    xn = bases[k] + t * steps[k]
+                    tests[live[k]] += 1
+                    if guard(xn):
+                        trial.append(k)
+                        trial_x.append(xn)
+                        break
+                    t *= 0.5
+                rungs[k] = t
+            if not trial:
+                break
+            xn = np.array(trial_x)
+            fn, pn = F(xn)
+            nn = np.maximum.reduce(np.abs(fn), axis=1).tolist()
+            searching, passed = [], []
+            for i, k in enumerate(trial):
+                evals[live[k]] += 1
+                if (nn[i] <= (1.0 - 1e-4 * rungs[k]) * nrm[k]
+                        or nn[i] < _NEWTON_TOL):
+                    passed.append(i)
+                else:
+                    rungs[k] *= 0.5
+                    searching.append(k)
+            if passed:
+                moved.append((trial, passed, nn, (xn, fn, *pn)))
+        if len(moved) == 1 and len(moved[0][1]) == len(live):
+            # every start moved, in one round and in order
+            _, _, nrm, (x, fx, *parts) = moved[0]
+            continue
+        # a start that did not move failed: its ladder ran out
+        rows = [trial[i] for trial, passed, _, _ in moved for i in passed]
+        for k in set(range(len(live))) - set(rows):
+            iters[live[k]] = it + 1
+        if not rows:
+            return found, iters, evals, tests
+        live = [live[k] for k in rows]
+        nrm = [nn[i] for _, passed, nn, _ in moved for i in passed]
+        x, fx, *parts = (np.concatenate(qs) for qs in zip(
+            *([q[passed] for q in st] for _, passed, _, st in moved)))
+    for k, v in enumerate(nrm):
+        if v < _NEWTON_TOL:
+            found[live[k]] = x[k]
+    for b in live:
+        iters[b] = _NEWTON_MAX_ITER
+    return found, iters, evals, tests
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +386,45 @@ def _damped_newton(F, jac, x0, guard, reach):
 
 
 def _unpack(x, n):
-    rho = x[:n]
-    psi = x[n: 2 * n]
+    """The unknowns of one iterate x, or of each row of a stack: rho and
+    psi with n entries, the zeros alpha_1..alpha_n then alpha0, and the
+    scalar."""
     # not a complex view: the sum turns a -0.0 into +0.0, and lstsq's
     # Householder reflectors take their signs from such zeros
-    alpha = x[2 * n: 4 * n: 2] + 1j * x[2 * n + 1: 4 * n: 2]
-    alpha0 = x[4 * n] + 1j * x[4 * n + 1]
-    scalar = x[4 * n + 2]
-    return rho, psi, alpha, alpha0, scalar
+    zeros = x[..., 2 * n: 4 * n + 2: 2] + 1j * x[..., 2 * n + 1: 4 * n + 2: 2]
+    return x[..., :n], x[..., n: 2 * n], zeros, x[..., 4 * n + 2:]
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_layout(n, size):
+    """Where `_system`'s Jacobian stack of `size` starts takes its entries.
+
+    Component rows hold, per residual (phi(0), then the second datum) and
+    component j, seven complex entries: val at d/d(rho_j) (linear in
+    a_j), 1j val at d/d(psi_j), d + dbar and 1j (d - dbar) at the two
+    columns of alpha_j, d0bar and -1j d0bar at those of alpha0
+    (antiholomorphic), and ds at the scalar.  The Jacobian stacks them as
+    (entry, residual, start, component).  Returns the flat position in
+    the (size, cols, cols) stack of each of their real and imaginary
+    parts, and the stack with its constant entries (read-only, to copy).
+    The cache holds one layout per dimension and stack height in use,
+    and the heights are 1 and `SolverConfig.starts`.
+    """
+    idx = np.arange(n)
+    cols = 4 * n + 3
+    ent_cols = np.stack([idx, n + idx, 2 * n + 2 * idx, 2 * n + 2 * idx + 1,
+                         np.full(n, 4 * n), np.full(n, 4 * n + 1),
+                         np.full(n, 4 * n + 2)])
+    ent_rows = (2 * n * np.arange(2)[:, None, None]      # residual
+                + n * np.arange(2)[None, None, :]        # real, imaginary
+                + idx[None, :, None])
+    at = (ent_rows[None] * cols
+          + ent_cols[:, None, :, None])[:, :, None]      # (7, 2, 1, n, 2)
+    starts = cols * cols * np.arange(size)[:, None, None]
+    blank = np.zeros((size, cols, cols))
+    blank[:, 4 * n, 4 * n] = blank[:, 4 * n + 1, 4 * n + 1] = -1.0
+    blank.flags.writeable = False
+    return (at + starts).ravel(), blank
 
 
 def _system(kind, z, tg, rpat, p):
@@ -318,105 +439,115 @@ def _system(kind, z, tg, rpat, p):
     antiholomorphically on the zeros, so the Jacobian comes from the
     Wirtinger derivatives d/d(alpha_j) and d/d(conj alpha_j): a real
     column x pairs with D + Dbar, an imaginary column y with i (D - Dbar).
+
+    Both work on stacks: the residual maps iterates (B, 4n + 3) to
+    residuals (B, 4n + 3), and the Jacobian of its intermediates is
+    (B, 4n + 3, 4n + 3).  Each row has the bytes a stack of one gives it.
     """
     n = z.size
-    full = rpat == 1
-    two_point = kind == "two-point"
-    idx = np.arange(n)
     cols = 4 * n + 3
+    two_point = kind == "two-point"
+    # The per-component data as rows, which a stack of one matches in
+    # shape, and complex where it meets complex values: numpy casts a
+    # real operand of a complex operation to exactly this, and a cast
+    # inside the call costs more than the operation on a small stack.
+    full, z, tg = rpat[None] == 1, z[None], tg[None]
+    two_p = 2.0 * p[None]
+    inv_p = 1.0 / p[None]
+    full_less_inv_p = (full - inv_p).astype(complex)
+    inv_p_less_1 = (inv_p - 1.0).astype(complex)
+    p = p[None].astype(complex)
 
     def residual(x):
-        rho, psi, alpha, alpha0, s = _unpack(x, n)
+        rho, psi, zeros, s = _unpack(x, n)
+        s = s.astype(complex)
+        alpha, alpha0 = zeros[:, :n], zeros[:, n:]
+        conj = np.conj(zeros)
         a = np.exp(rho + 1j * psi)
-        wgt = np.exp(2.0 * p * rho)
-        phi0 = a * np.where(full, -alpha, 1.0)
+        wgt = np.exp(two_p * rho)
+        neg_alpha = -alpha
+        phi0 = a * np.where(full, neg_alpha, 1.0)
+        abs2 = np.abs(alpha) ** 2
         if two_point:
             # phi(s) = a * mob * h, h = ((1 - conj(alpha) s)
-            # / (1 - conj(alpha0) s))^(1/p) on the principal branch
-            num = 1.0 - np.conj(alpha) * s
-            den = 1.0 - np.conj(alpha0) * s
-            h = np.exp((np.log(num) - np.log(den)) / p)
+            # / (1 - conj(alpha0) s))^(1/p) on the principal branch;
+            # `ends` holds both factors, like `zeros`
+            ends = 1.0 - conj * s
+            num = ends[:, :n]
+            logs = np.log(ends)
+            h = np.exp((logs[:, :n] - logs[:, n:]) / p)
             mob = np.where(full, (s - alpha) / num, 1.0)
             second = a * mob * h
             e1 = second - tg
-            extra = (num, den, h)
+            extra = (ends, h)
         else:
             # phi'(0) = a * ((1 - |alpha|^2) - alpha hp) or a * hp
-            hp = (np.conj(alpha0) - np.conj(alpha)) / p
-            second = a * np.where(full, (1.0 - np.abs(alpha) ** 2)
-                                  + (-alpha) * hp, hp)
+            hp = (conj[:, n:] - conj[:, :n]) / p
+            second = a * np.where(full, (1.0 - abs2) + neg_alpha * hp, hp)
             e1 = second - s * tg
             extra = (hp,)
-        c1 = np.sum(wgt * alpha) - alpha0
-        c2 = float(np.sum(wgt * (1.0 + np.abs(alpha) ** 2))
-                   - (1.0 + abs(alpha0) ** 2))
+        one_plus = 1.0 + abs2
+        c1 = np.add.reduce(wgt * alpha, axis=1, keepdims=True) - alpha0
+        # 1 + |alpha0|^2 in Python floats, per row: np.abs of a complex
+        # array rounds the modulus differently for about half of all
+        # inputs, and x ** 2 (pow) differs from np.square for some
+        tied = [[1.0 + abs(v) ** 2] for (v,) in alpha0.tolist()]
+        c2 = np.add.reduce(wgt * one_plus, axis=1, keepdims=True) - tied
         e0 = phi0 - z
         f = np.concatenate([e0.real, e0.imag, e1.real, e1.imag,
-                            [c1.real, c1.imag, c2]])
-        return f, (alpha, alpha0, s, a, wgt, phi0, second) + extra
+                            c1.real, c1.imag, c2], axis=1)
+        return f, (alpha, alpha0, conj, s, a, wgt, phi0, second, abs2,
+                   one_plus) + extra
 
-    # Component rows hold, per residual (phi(0), then the second datum)
-    # and component j, seven complex entries: val at d/d(rho_j) (linear
-    # in a_j), 1j val at d/d(psi_j), d + dbar and 1j (d - dbar) at the
-    # two columns of alpha_j, d0bar and -1j d0bar at those of alpha0
-    # (antiholomorphic), and ds at the scalar.  `ent` stacks them as
-    # (entry, residual, component); `at` is the flat Jacobian position
-    # of each of its real and imaginary parts, built once.
-    ent_cols = np.stack([idx, n + idx, 2 * n + 2 * idx, 2 * n + 2 * idx + 1,
-                         np.full(n, 4 * n), np.full(n, 4 * n + 1),
-                         np.full(n, 4 * n + 2)])
-    ent_rows = (2 * n * np.arange(2)[:, None, None]      # residual
-                + n * np.arange(2)[None, None, :]        # real, imaginary
-                + idx[None, :, None])
-    at = (ent_rows[None] * cols
-          + ent_cols[:, None, :, None]).ravel()
-    inv_p = 1.0 / p
-    full_less_inv_p = full - inv_p
-    inv_p_less_1 = inv_p - 1.0
     # the tying rows, and the columns of re alpha_j and im alpha_j
     t0, t1, t2 = 4 * n, 4 * n + 1, 4 * n + 2
     are, aim = slice(2 * n, 4 * n, 2), slice(2 * n + 1, 4 * n, 2)
 
     def jacobian(parts):
-        alpha, alpha0, s, a, wgt, phi0, second, *extra = parts
-        ent = np.zeros((7, 2, n), dtype=complex)
-        d, dbar = np.zeros((2, 2, n), dtype=complex)
+        (alpha, alpha0, conj, s, a, wgt, phi0, second, abs2, one_plus,
+         *extra) = parts
+        size = len(alpha)
+        ent = np.zeros((7, 2, size, n), dtype=complex)
+        d, dbar = np.zeros((2, 2, size, n), dtype=complex)
+        neg_a = -a
         ent[0, 0] = phi0
-        d[0] = np.where(full, -a, 0.0)
+        d[0] = np.where(full, neg_a, 0.0)
         ent[0, 1] = second
         if two_point:
-            num, den, h = extra
-            d[1] = np.where(full, -a * h / num, 0.0)
-            dbar[1] = second * s / num * full_less_inv_p
-            ent[4, 1] = second * s / (p * den)
-            ent[6, 1] = (np.where(full, a * h * (1.0 - np.abs(alpha) ** 2)
-                                  / num ** 2, 0.0)
-                         + second / p * (np.conj(alpha0) / den
-                                         - np.conj(alpha) / num))
+            ends, h = extra
+            num = ends[:, :n]
+            d[1] = np.where(full, neg_a * h / num, 0.0)
+            ss = second * s
+            np.multiply(ss / num, full_less_inv_p, out=dbar[1])
+            np.divide(ss, p * ends[:, n:], out=ent[4, 1])
+            # conj(alpha0) / den - conj(alpha) / num
+            q = conj / ends
+            np.add(np.where(full, a * h * (1.0 - abs2) / num ** 2, 0.0),
+                   second / p * (q[:, n:] - q[:, :n]), out=ent[6, 1])
         else:
             (hp,) = extra
-            d[1] = np.where(full, a * (-np.conj(alpha) - hp), 0.0)
-            dbar[1] = np.where(full, a * alpha * inv_p_less_1, -a / p)
-            ent[4, 1] = np.where(full, -a * alpha / p, a / p)
+            d[1] = np.where(full, a * (-conj[:, :n] - hp), 0.0)
+            dbar[1] = np.where(full, a * alpha * inv_p_less_1, neg_a / p)
+            ent[4, 1] = np.where(full, neg_a * alpha / p, a / p)
             ent[6, 1] = -tg
         np.multiply(1j, ent[0], out=ent[1])
         np.add(d, dbar, out=ent[2])
         np.multiply(1j, d - dbar, out=ent[3])
         np.multiply(-1j, ent[4], out=ent[5])
-        J = np.zeros((cols, cols))
-        J.ravel()[at] = ent.view(float).ravel()
-        dw = 2.0 * p * wgt                      # d(w_j)/d(rho_j)
+        scatter, blank = _jacobian_layout(n, size)
+        J = blank.copy()
+        J.ravel()[scatter] = ent.view(float).ravel()
+        dw = two_p * wgt                        # d(w_j)/d(rho_j)
         dwa = dw * alpha
-        J[t0, :n] = dwa.real
-        J[t1, :n] = dwa.imag
-        J[t2, :n] = dw * (1.0 + np.abs(alpha) ** 2)
-        J[t0, are] = wgt
-        J[t1, aim] = wgt
-        J[t2, are] = 2.0 * wgt * alpha.real
-        J[t2, aim] = 2.0 * wgt * alpha.imag
-        J[t0, 4 * n] = J[t1, 4 * n + 1] = -1.0
-        J[t2, 4 * n] = -2.0 * alpha0.real
-        J[t2, 4 * n + 1] = -2.0 * alpha0.imag
+        J[:, t0, :n] = dwa.real
+        J[:, t1, :n] = dwa.imag
+        np.multiply(dw, one_plus, out=J[:, t2, :n])
+        J[:, t0, are] = wgt
+        J[:, t1, aim] = wgt
+        w2 = 2.0 * wgt
+        np.multiply(w2, alpha.real, out=J[:, t2, are])
+        np.multiply(w2, alpha.imag, out=J[:, t2, aim])
+        np.multiply(-2.0, alpha0.view(float), out=J[:, t2, 4 * n: 4 * n + 2])
         return J
 
     return residual, jacobian
@@ -561,12 +692,12 @@ def _perturb(x, rng, n, scalar_hi):
 
 
 def _assemble(x, n, rpat) -> ExtremalMapParams:
-    rho, psi, alpha, alpha0, _ = _unpack(x, n)
+    rho, psi, zeros, _ = _unpack(x, n)
     return ExtremalMapParams(
         m=1, n=n,
         a=np.exp(rho + 1j * psi),
-        alpha0=np.array([alpha0]),
-        alpha=alpha.reshape(1, n),
+        alpha0=zeros[n:],
+        alpha=zeros[:n].reshape(1, n),
         r=np.asarray(rpat, dtype=int).reshape(1, n),
     )
 
@@ -629,27 +760,51 @@ def _solve_core(ellipsoid, data: _Intake, config):
     patterns_tried = 0
     starts_tried = 0
     newton_iters = 0
-    for pat in patterns:
-        patterns_tried += 1
-        rpat = np.asarray(pat)
-        F, jac = _system(kind, z, tg, rpat, p)
-        x_base = _seed(z, beta, scalar0, rpat, p)
-        for trial in range(config.starts + 1):
-            x0 = x_base if trial == 0 else _perturb(x_base, rng, n, scalar_hi)
-            starts_tried += 1
-            x, iters = _damped_newton(F, jac, x0, guard, reach)
-            newton_iters += iters
+
+    def first_validated(F, jac, rpat, x0):
+        """Run the starts x0 of a flag pattern in lockstep and validate
+        the converged ones in start order: the (params, report, scalar)
+        of the first that passes and its index, or (None, None)."""
+        nonlocal starts_tried, newton_iters
+        found, iters, *_ = _damped_newton(F, jac, x0, guard, reach)
+        for k, x in enumerate(found):
             if x is None:
                 continue
             scalar = float(x[4 * n + 2])
             params = _assemble(x, n, rpat)
             ok, report = _validate(params, sub, kind, z, tg, scalar, config)
-            if not ok:
-                continue
-            candidates.append((pat, scalar))
-            if best is None or sign * scalar < sign * best[3]:
-                best = (params, report, pat, scalar)
-            break  # one validated candidate per pattern
+            if ok:
+                # the starts after the winner count as never run
+                starts_tried += k + 1
+                newton_iters += sum(iters[: k + 1])
+                return (params, report, scalar), k
+        starts_tried += len(found)
+        newton_iters += sum(iters)
+        return None, None
+
+    for pat in patterns:
+        patterns_tried += 1
+        rpat = np.asarray(pat)
+        F, jac = _system(kind, z, tg, rpat, p)
+        x_base = _seed(z, beta, scalar0, rpat, p)
+        # the base start alone, then the perturbed starts as one batch
+        won, _ = first_validated(F, jac, rpat, x_base[None])
+        if won is None and config.starts:
+            draws, states = [], []
+            for _ in range(config.starts):
+                draws.append(_perturb(x_base, rng, n, scalar_hi))
+                states.append(rng.bit_generator.state)
+            won, k = first_validated(F, jac, rpat, np.array(draws))
+            if won is not None:
+                # the next pattern draws on from where a search that ran
+                # the starts one at a time would have stopped drawing
+                rng.bit_generator.state = states[k]
+        if won is None:
+            continue
+        params, report, scalar = won
+        candidates.append((pat, scalar))
+        if best is None or sign * scalar < sign * best[3]:
+            best = (params, report, pat, scalar)
         # on a convex domain every validated member is a complex geodesic
         # (Lempert), so its scalar is already the extremal value
         if best is not None and ellipsoid.is_convex:

@@ -50,6 +50,18 @@ def test_poly_constructor_rejects_asymmetric():
         SelfInversivePoly((1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+def test_nan_or_negative_tolerance_is_refused(tol):
+    # a NaN tolerance turns off the tests it feeds: (1, 0.3, 2) is not
+    # self-inversive and is negative on the circle, yet passed both checks
+    with pytest.raises(ValueError, match="tol = "):
+        SelfInversivePoly((1.0, 0.3, 2.0), tol=tol)
+    poly = SelfInversivePoly((-0.5, 1.25, -0.5))
+    with pytest.raises(ValueError, match="tol = ") as info:
+        factor(poly, tol=tol)
+    assert not isinstance(info.value, FactorError)
+
+
 # --- expansion --------------------------------------------------------------
 
 def test_expand_single_real_zero():

@@ -71,8 +71,11 @@ def test_solve_draw_prints_one_line_per_problem():
     assert all(line.split()[3] in ("ok", "fail") for line in lines)
     fields = dict(item.split("=") for item in totals.split())
     assert list(fields) == ["problems", "failures", "newton_iterations",
-                            "residuals", "guards", "seconds"]
+                            "residuals", "residual_calls", "guards",
+                            "seconds"]
     assert fields["problems"] == "4"
     # every Newton iteration evaluates at least one residual and guards it
     iters = int(fields["newton_iterations"])
     assert 0 < iters <= int(fields["residuals"]) <= int(fields["guards"])
+    # a residual call evaluates one row or more
+    assert 0 < int(fields["residual_calls"]) <= int(fields["residuals"])

@@ -183,24 +183,29 @@ def test_closed_form_jacobian_matches_central_differences(kind, n):
         rpat = np.asarray(pat)
         F, jac = _system(kind, z, tg, rpat, p)
         x = _perturb(_seed(z, beta, scalar0, rpat, p), rng, n, scalar_hi)
-        J = jac(F(x)[1])
-        fd = np.empty_like(J)
+        (J,) = jac(F(x[None])[1])
+        # every column's two displaced iterates, as one stack
         h = 1e-6
-        for k in range(x.size):
-            xp = x.copy()
-            xp[k] += h
-            xm = x.copy()
-            xm[k] -= h
-            fd[:, k] = (F(xp)[0] - F(xm)[0]) / (2 * h)
+        shift = h * np.eye(x.size)
+        f = F(np.concatenate([x + shift, x - shift]))[0]
+        fd = (f[: x.size] - f[x.size:]).T / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-8 * max(1.0, np.max(np.abs(J))), pat
 
 
 def block_jacobian(kind, tg, rpat, p, parts):
-    """The Jacobian assembled from complex (n, 4n+3) blocks per residual."""
+    """The Jacobian of one iterate assembled from complex (n, 4n+3)
+    blocks per residual, from row 0 of `_system`'s intermediates and
+    with numpy scalars for alpha0 and the scalar."""
     n = rpat.size
     full = rpat == 1
     idx = np.arange(n)
     cols = 4 * n + 3
+    alpha, alpha0, _, s, a, wgt, phi0, second, _, _, *extra = (
+        q[0] for q in parts)
+    alpha0, s = alpha0[0], s[0].real
+    if kind == "two-point":
+        ends, h = extra
+        extra = (ends[:n], ends[n], h)
 
     def block(val, d, dbar, d0bar, ds):
         C = np.zeros((n, cols), dtype=complex)
@@ -213,7 +218,6 @@ def block_jacobian(kind, tg, rpat, p, parts):
         C[:, 4 * n + 2] = ds
         return np.concatenate([C.real, C.imag])
 
-    alpha, alpha0, s, a, wgt, phi0, second, *extra = parts
     zero = np.zeros(n, dtype=complex)
     rows0 = block(phi0, np.where(full, -a, 0.0), zero, zero, zero)
     if kind == "two-point":
@@ -267,9 +271,169 @@ def test_jacobian_is_bit_identical_to_the_block_form(kind, n):
             x0 = _seed(zz, beta, scalar0, rpat, p)
             for x in (x0, _perturb(x0, rng, n, scalar_hi),
                       _perturb(x0, rng, n, scalar_hi)):
-                parts = F(x)[1]
+                parts = F(x[None])[1]
                 want = block_jacobian(kind, tg, rpat, p, parts)
-                assert jac(parts).tobytes() == want.tobytes(), pat
+                assert jac(parts)[0].tobytes() == want.tobytes(), pat
+
+
+@st.composite
+def stacked_states(draw):
+    """A system (kind, n of 1-4, flags, data) and a stack of 2-6
+    iterates: its seed, perturbed seeds and zeros anywhere in the disc
+    of radius 0.99, so that alpha0 meets the rounding of the tying row
+    (see `tied_zero_moduli_that_round_apart`)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["two-point", "point-direction"]))
+    pat = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.uniform(0.25, 3.0, n)
+    z = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    tg = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    beta, scalar0, scalar_hi = _second_datum(kind, z, tg)
+    x0 = _seed(z, beta, scalar0, pat, p)
+    rows = [x0]
+    for _ in range(draw(st.integers(1, 5))):
+        x = _perturb(x0, rng, n, scalar_hi)
+        if draw(st.booleans()):
+            radius = 0.99 * np.sqrt(rng.uniform(size=n + 1))
+            zeros = radius * np.exp(2j * np.pi * rng.uniform(size=n + 1))
+            x[2 * n: 4 * n + 2] = zeros.view(float)
+        rows.append(x)
+    return _system(kind, z, tg, pat, p), np.array(rows)
+
+
+@given(stacked_states())
+@settings(max_examples=300, deadline=None)
+def test_each_row_of_a_stack_is_its_batch_of_one(case):
+    # the lockstep Newton relies on it: a start's residual and Jacobian
+    # do not depend on the starts stacked with it
+    (F, jac), X = case
+    f, parts = F(X)
+    J = jac(parts)
+    assert f.shape == X.shape and J.shape == X.shape + X.shape[1:]
+    for k, x in enumerate(X):
+        f1, parts1 = F(x[None])
+        assert f1[0].tobytes() == f[k].tobytes()
+        assert jac(parts1)[0].tobytes() == J[k].tobytes()
+
+
+def tied_zero_moduli_that_round_apart(count):
+    """Tied zeros whose 1 + |alpha0|^2 differs between numpy's array abs
+    and the scalar abs, the first `count` of a seeded draw."""
+    rng = np.random.default_rng(5)
+    found = []
+    while len(found) < count:
+        v = complex(*rng.uniform(-0.6, 0.6, 2))
+        if 1.0 + abs(v) ** 2 != (1.0 + np.abs(np.array([v])) ** 2)[0]:
+            found.append(v)
+    return found
+
+
+def test_the_tying_row_takes_the_scalar_modulus_of_alpha0():
+    # np.abs of a complex array and abs of a complex scalar round |alpha0|
+    # differently for about half of all alpha0; the tying row keeps the
+    # scalar one, in every row of a stack, as a stack of one computes it
+    n, kind, pat = 2, "two-point", np.array([1, 0])
+    p, z = np.array([1.0, 2.0]), np.array([0.1, 0.2j])
+    tg = np.array([0.3, 0.1])
+    F, _ = _system(kind, z, tg, pat, p)
+    beta, scalar0, _ = _second_datum(kind, z, tg)
+    X = np.repeat(_seed(z, beta, scalar0, pat, p)[None], 4, axis=0)
+    X[:, 4 * n: 4 * n + 2] = np.array(
+        tied_zero_moduli_that_round_apart(4)).view(float).reshape(4, 2)
+    f, parts = F(X)
+    wgt, one_plus = parts[5], parts[9]
+    for k, (v,) in enumerate(parts[1]):
+        want = np.sum(wgt[k] * one_plus[k]) - (1.0 + abs(v) ** 2)
+        assert f[k, -1] == want
+        assert f[k].tobytes() == F(X[k: k + 1])[0].tobytes()
+
+
+def one_at_a_time(F, jac, x0, guard, reach):
+    """`_damped_newton` on each start of x0 alone."""
+    runs = [solver._damped_newton(F, jac, x[None], guard, reach) for x in x0]
+    return [[run[i][0] for run in runs] for i in range(4)]
+
+
+def test_perturbed_starts_in_lockstep_take_their_paths_alone():
+    # 8 perturbed starts for each flag pattern of the pinned non-convex
+    # two-point instance, drawn from the search's seed, run as one batch
+    # and one at a time: each start ends at the same bytes (7 of the 32
+    # converge) after the same iterations, residual rows and guard calls
+    n, kind = 2, "two-point"
+    p, z = np.array([0.3, 1.0]), np.array([0.05, 0.2j])
+    tg = np.array([0.1, -0.1])
+    beta, scalar0, scalar_hi = _second_datum(kind, z, tg)
+    rng = np.random.default_rng(SolverConfig().seed)
+    guard, reach = solver._make_guard(n, scalar_hi), solver._make_reach(n)
+    converged = 0
+    for pat in itertools.product((1, 0), repeat=n):
+        rpat = np.asarray(pat)
+        F, jac = _system(kind, z, tg, rpat, p)
+        x_base = _seed(z, beta, scalar0, rpat, p)
+        x0 = np.array([_perturb(x_base, rng, n, scalar_hi) for _ in range(8)])
+        batch = solver._damped_newton(F, jac, x0, guard, reach)
+        alone = one_at_a_time(F, jac, x0, guard, reach)
+        assert list(batch[1:]) == alone[1:], pat
+        for x, y in zip(batch[0], alone[0]):
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+            converged += x is not None
+    assert converged == 7
+
+
+def test_replayed_draws_give_later_patterns_their_one_at_a_time_starts(
+        monkeypatch):
+    # a non-convex draw problem (`scripts/solve_draw.py --nonconvex --seed
+    # 77`, #7) where start 2 of the perturbed batch of flag pattern
+    # (0, 0, 1) is the first to validate, and pattern (0, 0, 0) follows.
+    # A search that drew its perturbations one at a time would stop after
+    # the second; the batch drew all 8, so the generator goes back to
+    # where that search would have left it
+    E = Ellipsoid((0.2808536203130691, 1.1860230181193687, 1.482825934650157))
+    prob = PointDirectionProblem(
+        (0.04441685648183479 + 0.1369979331463818j,
+         0.10574411712729347 - 0.3985193636183914j,
+         -0.25245344342591913 + 0.589066571931722j),
+        (-0.2962046210890497 + 0.012916590262442962j,
+         0.07596490236794516 + 0.18828232448790305j,
+         0.6985733480849099 - 0.9851750237719388j))
+    batches, newton = [], solver._damped_newton
+
+    def recorded(F, jac, x0, guard, reach):
+        batches.append(x0)
+        return newton(F, jac, x0, guard, reach)
+
+    monkeypatch.setattr(solver, "_damped_newton", recorded)
+    res = solve_point_direction(E, prob)
+    assert res.diagnostics.pattern == (0, 0, 1)
+    # the draws of a search that runs each start alone and stops at the
+    # first that validates
+    data = solver._intake(E, prob)
+    z, tg, p, n = data.z, data.second, data.p, 3
+    beta, scalar0, scalar_hi = _second_datum(data.kind, z, tg)
+    guard, reach = solver._make_guard(n, scalar_hi), solver._make_reach(n)
+    rng = np.random.default_rng(SolverConfig().seed)
+    want, winners = [], []
+    for pat in solver._patterns(z, None):
+        rpat = np.asarray(pat)
+        F, jac = _system(data.kind, z, tg, rpat, p)
+        x_base = _seed(z, beta, scalar0, rpat, p)
+        for start in range(SolverConfig().starts + 1):
+            x0 = x_base if start == 0 else _perturb(x_base, rng, n, scalar_hi)
+            want.append(x0)
+            (x,), _, _, _ = newton(F, jac, x0[None], guard, reach)
+            if x is not None and solver._validate(
+                    solver._assemble(x, n, rpat), Ellipsoid(tuple(p)),
+                    data.kind, z, tg, float(x[4 * n + 2]), SolverConfig())[0]:
+                winners.append((pat, start))
+                break
+    assert winners == [((0, 0, 1), 2)]
+    # the solver ran every start of those draws, and the pattern after
+    # the winner started from the same draws
+    got = np.concatenate(batches)
+    used = [x for x in got if any(x.tobytes() == w.tobytes() for w in want)]
+    assert len(used) == len(want)
+    assert got[-8:].tobytes() == np.array(want[-8:]).tobytes()
 
 
 ZERO_RADIUS = solver._ZERO_RADIUS
@@ -310,20 +474,25 @@ def line_search_case(draw):
     return x, step
 
 
+def identity_jacobian(size):
+    """A Jacobian stack of identities, one per row of the intermediates."""
+    return lambda parts: np.repeat(np.eye(size)[None], len(parts[0]), axis=0)
+
+
 def line_search(x, step, guard, reach):
-    """One `_damped_newton` step with `step` as its Newton step and every
-    point the guard lets through accepted: (x after the step, residual
-    calls).  The result is None when no rung down to
+    """One `_damped_newton` step of the start x alone, with `step` as its
+    Newton step and every point the guard lets through accepted: (x after
+    the step, residual calls).  The result is None when no rung down to
     `solver._NEWTON_MIN_STEP` passes."""
     calls = []
 
     def F(y):
         calls.append(y)
-        return (-step if len(calls) == 1 else np.zeros_like(step)), None
+        return (-step if len(calls) == 1 else np.zeros_like(step))[None], (y,)
 
-    got, iters = solver._damped_newton(F, lambda parts: np.eye(x.size), x,
-                                       guard, reach)
-    assert iters == 1
+    (got,), iters, evals, _ = solver._damped_newton(
+        F, identity_jacobian(x.size), x[None], guard, reach)
+    assert iters == [1] and evals == [len(calls)]
     return got, len(calls)
 
 
@@ -435,7 +604,8 @@ def test_newton_fails_at_once_on_a_start_the_guard_rejects():
     guard, reach = solver._make_guard(1, 1.0 - 1e-9), solver._make_reach(1)
     # alpha0 = 1 lies outside its guard disc
     x0 = solver._pack(np.zeros(1), np.zeros(1), np.array([0.5]), 1.0, 0.5)
-    assert solver._damped_newton(residual, None, x0, guard, reach) == (None, 0)
+    assert solver._damped_newton(residual, None, x0[None], guard, reach) == (
+        [None], [0], [0], [1])
 
 
 def test_newton_gives_up_after_its_iteration_budget():
@@ -445,13 +615,13 @@ def test_newton_gives_up_after_its_iteration_budget():
 
     def residual(x):
         calls.append(x)
-        return x, None
+        return x, (x,)
 
-    got = solver._damped_newton(residual, lambda parts: 4.0 * np.eye(7),
-                                np.ones(7), lambda x: True,
-                                lambda x, step: np.inf)
-    assert got == (None, 70) and solver._NEWTON_MAX_ITER == 70
-    assert len(calls) == 71
+    found, iters, evals, _ = solver._damped_newton(
+        residual, lambda parts: 4.0 * np.eye(7)[None], np.ones((1, 7)),
+        lambda x: True, lambda x, step: np.inf)
+    assert (found, iters) == ([None], [70]) and solver._NEWTON_MAX_ITER == 70
+    assert len(calls) == 71 and evals == [71]
     assert abs(np.max(calls[-1]) - 0.75 ** 70) < 1e-20
 
 
@@ -464,12 +634,12 @@ def newton_with_a_first_passing_rung(rung):
     def residual(y):
         calls.append(y)
         if len(calls) == 1:
-            return -np.eye(1, 7)[0], None
-        return np.full(7, 0.0 if y[0] <= rung else 2.0), None
+            return -np.eye(1, 7), (y,)
+        return np.full((1, 7), 0.0 if y[0, 0] <= rung else 2.0), (y,)
 
-    got, iters = solver._damped_newton(residual, lambda parts: np.eye(7),
-                                       np.zeros(7), lambda y: True,
-                                       lambda y, step: np.inf)
+    (got,), (iters,), _, _ = solver._damped_newton(
+        residual, identity_jacobian(7), np.zeros((1, 7)), lambda y: True,
+        lambda y, step: np.inf)
     return got, iters, len(calls)
 
 
@@ -493,8 +663,11 @@ def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
     # the residual counted: the line search starts at the first rung the
     # zeros allow, so only the guard's work falls (2015 calls when every
     # rung from 1 down to _NEWTON_MIN_STEP was tested) and every residual
-    # stays
-    counts = {"guard": 0, "residual": 0}
+    # row stays.  The perturbed starts of a pattern share their calls:
+    # 425 residual rows take 136 calls, and 220 Newton steps 64
+    # Jacobian stacks.
+    counts = {"guard": 0, "residual": 0, "residual_calls": 0,
+              "jacobians": 0}
     make_guard, system = solver._make_guard, solver._system
 
     def counted(fun, key):
@@ -505,7 +678,12 @@ def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
 
     def counting_system(*args):
         F, jac = system(*args)
-        return counted(F, "residual"), jac
+
+        def residual(x):
+            counts["residual"] += len(x)
+            return F(x)
+        return (counted(residual, "residual_calls"),
+                counted(jac, "jacobians"))
 
     monkeypatch.setattr(solver, "_make_guard",
                         lambda *args: counted(make_guard(*args), "guard"))
@@ -514,6 +692,7 @@ def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
                           TwoPointProblem((0.05, 0.2j), (0.1, -0.1)))
     assert res.diagnostics.newton_iterations == 220
     assert (counts["guard"], counts["residual"]) == (591, 425)
+    assert (counts["residual_calls"], counts["jacobians"]) == (136, 64)
 
 
 @pytest.mark.parametrize("p, kind, z, tg", [
@@ -605,6 +784,8 @@ def test_flag_enumeration_refuses_more_than_the_dimension_limit(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("boundary_grid", 100), ("boundary_grid", 4), ("starts", -1),
+    ("interpolation_tol", float("nan")), ("constraint_tol", -1e-9),
+    ("boundary_tol", float("nan")),
 ])
 def test_solver_config_rejects_unusable_values(field, value):
     with pytest.raises(ValueError, match=field):
