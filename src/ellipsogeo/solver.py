@@ -319,60 +319,63 @@ def _damped_newton(F, jac, x0, guard, reach):
             nrm = [nrm[k] for k in keep]
             x, fx, *parts = (q[keep] for q in (x, fx, *parts))
         J = jac(parts)
-        bases, steps, rungs = list(x), [], []
-        for k, xk in enumerate(bases):
+        # per start still iterating: [row, x, Newton step, rung]
+        ladders = []
+        for k, xk in enumerate(x):
             step = np.linalg.lstsq(J[k], -fx[k], rcond=None)[0]
             t = 1.0
             skip = 2.0 * reach(xk, step)
             while t > skip and t >= _NEWTON_MIN_STEP:
                 t *= 0.5
-            steps.append(step)
-            rungs.append(t)
-        searching = range(len(live))
-        moved = []      # per round: rows tried, rows passed, norms, state
-        while searching:
+            ladders.append([k, xk, step, t])
+        moved = []      # per round: rows passed, their norms and state
+        while ladders:
             trial, trial_x = [], []
-            for k in searching:
-                t = rungs[k]
+            for lad in ladders:
+                _, xk, step, t = lad
+                b = live[lad[0]]
                 while t >= _NEWTON_MIN_STEP:
-                    xn = bases[k] + t * steps[k]
-                    tests[live[k]] += 1
+                    xn = xk + t * step
+                    tests[b] += 1
                     if guard(xn):
-                        trial.append(k)
+                        trial.append(lad)
                         trial_x.append(xn)
                         break
                     t *= 0.5
-                rungs[k] = t
+                lad[3] = t
+            ladders = []
             if not trial:
-                break
+                continue
             xn = np.array(trial_x)
             fn, pn = F(xn)
             nn = np.maximum.reduce(np.abs(fn), axis=1).tolist()
-            searching, passed = [], []
-            for i, k in enumerate(trial):
+            passed = []
+            for i, (lad, v) in enumerate(zip(trial, nn)):
+                k = lad[0]
                 evals[live[k]] += 1
-                if (nn[i] <= (1.0 - 1e-4 * rungs[k]) * nrm[k]
-                        or nn[i] < _NEWTON_TOL):
+                if v <= (1.0 - 1e-4 * lad[3]) * nrm[k] or v < _NEWTON_TOL:
                     passed.append(i)
                 else:
-                    rungs[k] *= 0.5
-                    searching.append(k)
+                    lad[3] *= 0.5
+                    ladders.append(lad)
+            if len(passed) == len(live):
+                # every start moved, in this one round and in order
+                x, fx, parts, nrm = xn, fn, pn, nn
+                break
             if passed:
-                moved.append((trial, passed, nn, (xn, fn, *pn)))
-        if len(moved) == 1 and len(moved[0][1]) == len(live):
-            # every start moved, in one round and in order
-            _, _, nrm, (x, fx, *parts) = moved[0]
-            continue
-        # a start that did not move failed: its ladder ran out
-        rows = [trial[i] for trial, passed, _, _ in moved for i in passed]
-        for k in set(range(len(live))) - set(rows):
-            iters[live[k]] = it + 1
-        if not rows:
-            return found, iters, evals, tests
-        live = [live[k] for k in rows]
-        nrm = [nn[i] for _, passed, nn, _ in moved for i in passed]
-        x, fx, *parts = (np.concatenate(qs) for qs in zip(
-            *([q[passed] for q in st] for _, passed, _, st in moved)))
+                moved.append(([trial[i][0] for i in passed], passed, nn,
+                              (xn, fn, *pn)))
+        else:
+            # a start that did not move failed: its ladder ran out
+            rows = [k for m in moved for k in m[0]]
+            for k in set(range(len(live))) - set(rows):
+                iters[live[k]] = it + 1
+            if not rows:
+                return found, iters, evals, tests
+            live = [live[k] for k in rows]
+            nrm = [nn[i] for _, passed, nn, _ in moved for i in passed]
+            x, fx, *parts = (np.concatenate(qs) for qs in zip(
+                *([q[passed] for q in st] for _, passed, _, st in moved)))
     for k, v in enumerate(nrm):
         if v < _NEWTON_TOL:
             found[live[k]] = x[k]
