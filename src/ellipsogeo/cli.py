@@ -38,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """The value of a --tol or --boundary-tol option: a number >= 0."""
+    """The value of a --tol or --boundary-tol option: a finite number
+    >= 0."""
     try:
         return polyfactor.check_tolerance(float(text), "tolerance")
     except ValueError as exc:

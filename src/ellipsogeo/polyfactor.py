@@ -14,6 +14,7 @@ multiplicity.  This module expands such products and recovers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,17 @@ def unit_circle_grid(M: int) -> np.ndarray:
 
 
 def check_tolerance(tol: float, name: str = "tol") -> float:
-    """Refuse a NaN or negative tolerance with ValueError; return it.
+    """Refuse a tolerance that is not a finite number >= 0 with
+    ValueError; return it.
 
-    A tolerance only feeds comparisons such as `res > tol * scale`, and
-    every comparison with NaN is false, so a NaN tolerance would switch
-    off the tests it feeds instead of failing.
+    A tolerance only feeds comparisons such as `res > tol * scale`.
+    Every comparison with NaN is false, so a NaN tolerance would switch
+    off the tests it feeds instead of failing, and an infinite one
+    passes everything: `factor` then strips every end coefficient as a
+    zero factor.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"{name} = {tol} must be a number >= 0")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} = {tol} must be a finite number >= 0")
     return tol
 
 
@@ -200,7 +204,8 @@ def factor(poly: SelfInversivePoly, tol: float = 1e-6) -> CircleRationalForm:
 
     Raises FactorError when the polynomial takes negative values on the
     circle or its roots cannot be grouped within tolerance (a group of
-    odd size at every collar), and ValueError for a NaN or negative tol.
+    odd size at every collar), and ValueError for a tol that is not a
+    finite number >= 0.
     """
     check_tolerance(tol)
     c = np.asarray(poly.coefficients, dtype=complex)

@@ -460,6 +460,11 @@ def _system(kind, z, tg, rpat, p):
     full_less_inv_p = (full - inv_p).astype(complex)
     inv_p_less_1 = (inv_p - 1.0).astype(complex)
     p = p[None].astype(complex)
+    # np.where(full, X, Y), which is X itself when every flag is 1: the
+    # first pattern of a search, at whose base start most convex
+    # searches end
+    pick = (lambda X, Y: X) if full.all() else functools.partial(np.where,
+                                                                  full)
 
     def residual(x):
         rho, psi, zeros, s = _unpack(x, n)
@@ -469,7 +474,7 @@ def _system(kind, z, tg, rpat, p):
         a = np.exp(rho + 1j * psi)
         wgt = np.exp(two_p * rho)
         neg_alpha = -alpha
-        phi0 = a * np.where(full, neg_alpha, 1.0)
+        phi0 = a * pick(neg_alpha, 1.0)
         abs2 = np.abs(alpha) ** 2
         if two_point:
             # phi(s) = a * mob * h, h = ((1 - conj(alpha) s)
@@ -479,14 +484,14 @@ def _system(kind, z, tg, rpat, p):
             num = ends[:, :n]
             logs = np.log(ends)
             h = np.exp((logs[:, :n] - logs[:, n:]) / p)
-            mob = np.where(full, (s - alpha) / num, 1.0)
+            mob = pick((s - alpha) / num, 1.0)
             second = a * mob * h
             e1 = second - tg
             extra = (ends, h)
         else:
             # phi'(0) = a * ((1 - |alpha|^2) - alpha hp) or a * hp
             hp = (conj[:, n:] - conj[:, :n]) / p
-            second = a * np.where(full, (1.0 - abs2) + neg_alpha * hp, hp)
+            second = a * pick((1.0 - abs2) + neg_alpha * hp, hp)
             e1 = second - s * tg
             extra = (hp,)
         one_plus = 1.0 + abs2
@@ -514,24 +519,24 @@ def _system(kind, z, tg, rpat, p):
         d, dbar = np.zeros((2, 2, size, n), dtype=complex)
         neg_a = -a
         ent[0, 0] = phi0
-        d[0] = np.where(full, neg_a, 0.0)
+        d[0] = pick(neg_a, 0.0)
         ent[0, 1] = second
         if two_point:
             ends, h = extra
             num = ends[:, :n]
-            d[1] = np.where(full, neg_a * h / num, 0.0)
+            d[1] = pick(neg_a * h / num, 0.0)
             ss = second * s
             np.multiply(ss / num, full_less_inv_p, out=dbar[1])
             np.divide(ss, p * ends[:, n:], out=ent[4, 1])
             # conj(alpha0) / den - conj(alpha) / num
             q = conj / ends
-            np.add(np.where(full, a * h * (1.0 - abs2) / num ** 2, 0.0),
+            np.add(pick(a * h * (1.0 - abs2) / num ** 2, 0.0),
                    second / p * (q[:, n:] - q[:, :n]), out=ent[6, 1])
         else:
             (hp,) = extra
-            d[1] = np.where(full, a * (-conj[:, :n] - hp), 0.0)
-            dbar[1] = np.where(full, a * alpha * inv_p_less_1, neg_a / p)
-            ent[4, 1] = np.where(full, neg_a * alpha / p, a / p)
+            d[1] = pick(a * (-conj[:, :n] - hp), 0.0)
+            dbar[1] = pick(a * alpha * inv_p_less_1, neg_a / p)
+            ent[4, 1] = pick(neg_a * alpha / p, a / p)
             ent[6, 1] = -tg
         np.multiply(1j, ent[0], out=ent[1])
         np.add(d, dbar, out=ent[2])

@@ -296,14 +296,14 @@ def test_solve_unusable_config_is_an_input_error(tmp_path, flag, value):
     ("factor", "--tol", "nan"), ("factor", "--tol", "-1e-6"),
     ("validate", "--tol", "nan"), ("validate", "--boundary-tol", "-1"),
     ("solve", "--tol", "-1e-9"), ("solve", "--boundary-tol", "nan"),
-    ("fit", "--tol", "nan"),
+    ("fit", "--tol", "nan"), ("factor", "--tol", "inf"),
 ])
-def test_nan_or_negative_tolerance_is_an_input_error(tmp_path, command, flag,
-                                                     value):
+def test_tolerance_that_is_not_a_finite_number_at_least_0_is_an_input_error(
+        tmp_path, command, flag, value):
     # refused before any input is read: a NaN tolerance switches off the
-    # checks it feeds, and a document echoing it would print "NaN", which
-    # is not JSON.  (1, 0.3, 2) is not self-inversive; with --tol nan it
-    # used to pass the symmetry and sign checks
+    # checks it feeds, and a document echoing it would print "NaN" or
+    # "Infinity", which are not JSON.  (1, 0.3, 2) is not self-inversive;
+    # with --tol nan it used to pass the symmetry and sign checks
     inp = tmp_path / "poly.json"
     write_json(inp, {"coefficients": [[1.0, 0.0], [0.3, 0.0], [2.0, 0.0]]})
     proc = run_cli(command, "--input", str(inp), f"{flag}={value}")

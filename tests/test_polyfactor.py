@@ -50,10 +50,12 @@ def test_poly_constructor_rejects_asymmetric():
         SelfInversivePoly((1.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
-def test_nan_or_negative_tolerance_is_refused(tol):
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+def test_tolerance_that_is_not_a_finite_number_at_least_0_is_refused(tol):
     # a NaN tolerance turns off the tests it feeds: (1, 0.3, 2) is not
-    # self-inversive and is negative on the circle, yet passed both checks
+    # self-inversive and is negative on the circle, yet passed both
+    # checks; an infinite one made `factor` strip both end coefficients
+    # of (-0.5, 1.25, -0.5) and report a zero at 0 instead of 0.5
     with pytest.raises(ValueError, match="tol = "):
         SelfInversivePoly((1.0, 0.3, 2.0), tol=tol)
     poly = SelfInversivePoly((-0.5, 1.25, -0.5))

@@ -785,7 +785,7 @@ def test_flag_enumeration_refuses_more_than_the_dimension_limit(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("boundary_grid", 100), ("boundary_grid", 4), ("starts", -1),
     ("interpolation_tol", float("nan")), ("constraint_tol", -1e-9),
-    ("boundary_tol", float("nan")),
+    ("boundary_tol", float("nan")), ("boundary_tol", float("inf")),
 ])
 def test_solver_config_rejects_unusable_values(field, value):
     with pytest.raises(ValueError, match=field):
