@@ -815,7 +815,7 @@ def _solve_core(ellipsoid, data: _Intake, config):
             best = (params, report, pat, scalar)
         # on a convex domain every validated member is a complex geodesic
         # (Lempert), so its scalar is already the extremal value
-        if best is not None and ellipsoid.is_convex:
+        if ellipsoid.is_convex:
             break
     elapsed = time.monotonic() - t_start
     if best is None:
