@@ -15,11 +15,12 @@ flag pattern, patterns / starts / Newton iterations, the candidates
 (pattern:scalar.hex) and, for a failed solve, the `SolveError` message.
 The last line totals the Newton iterations, the residual rows, the
 batched residual calls that evaluate them, the line-search guard calls
-and the solve seconds, counted through wrappers around `solver._system`,
-`solver._damped_newton` and `solver._validate` (see `count_search`).
-Everything but the residual calls, the guard calls and the seconds is
-the search's result, so two versions of the solver that take the same
-Newton path print the same lines.
+and the solve seconds.  Every count is read from the solve's
+`SolveDiagnostics` (for a failed solve, the one its `SolveError`
+carries), so the starts of a batch after its winner count as never run,
+by the solver's own rule.  Everything but the residual calls, the guard
+calls and the seconds is the search's result, so two versions of the
+solver that take the same Newton path print the same lines.
 
     python3 scripts/solve_draw.py --seed 2026 --count 120
     python3 scripts/solve_draw.py --nonconvex --seed 77 --count 30
@@ -54,63 +55,6 @@ def ellipsoid_point(rng, ellipsoid, slack=0.15):
             return v
 
 
-def count_search():
-    """Route the solver's flag patterns, Newton batches and validations
-    through counters; returns the counts and the `settle` to call after
-    each solve.
-
-    A row of a Newton batch is one start, and the batch reports the
-    iterations, residual rows and guard calls of each.  The search
-    validates a batch's converged starts in start order and keeps the
-    first that passes, so the starts after it count as never run: the
-    counts are those of a search that runs its starts one at a time.
-    `residual_calls` counts the batched residual calls themselves.
-    """
-    counts = {"patterns": 0, "starts": 0, "iterations": 0,
-              "residuals": 0, "residual_calls": 0, "guards": 0}
-    system, newton, validate = (solver._system, solver._damped_newton,
-                                solver._validate)
-    batch = {}      # the last batch, until the search is done with it
-
-    def settle(last=None):
-        """Count the open batch's starts, up to start `last` if given."""
-        if batch:
-            used = slice(None if last is None else last + 1)
-            counts["starts"] += len(batch["iterations"][used])
-            for key in ("iterations", "residuals", "guards"):
-                counts[key] += sum(batch[key][used])
-            batch.clear()
-
-    def counting_system(*args):
-        counts["patterns"] += 1
-        F, jac = system(*args)
-
-        def residual(x):
-            counts["residual_calls"] += 1
-            return F(x)
-        return residual, jac
-
-    def counting_newton(*args):
-        settle()
-        found, iters, evals, tests = newton(*args)
-        batch.update(iterations=iters, residuals=evals, guards=tests,
-                     converged=[k for k, x in enumerate(found)
-                                if x is not None])
-        return found, iters, evals, tests
-
-    def counting_validate(*args):
-        ok, report = validate(*args)
-        start = batch["converged"].pop(0)
-        if ok:
-            settle(start)
-        return ok, report
-
-    solver._system = counting_system
-    solver._damped_newton = counting_newton
-    solver._validate = counting_validate
-    return counts, settle
-
-
 def problems(seed, count, nonconvex):
     rng = np.random.default_rng(seed)
     lo, hi = (0.25, 1.5) if nonconvex else (0.5, 3.0)
@@ -141,34 +85,34 @@ def main():
                     help="draw p in [0.25, 1.5] instead of [0.5, 3.0]")
     args = ap.parse_args()
 
-    counts, settle = count_search()
+    totals = dict.fromkeys(("newton_iterations", "residual_rows",
+                            "residual_calls", "guard_calls"), 0)
     failures, seconds = 0, 0.0
     for i, (E, prob, solve) in enumerate(problems(args.seed, args.count,
                                                   args.nonconvex)):
-        before = dict(counts)
         t0 = time.perf_counter()
         try:
             res = solve(E, prob)
+            d = res.diagnostics
         except SolveError as exc:
-            res, error = None, str(exc)
+            res, d, error = None, exc.diagnostics, str(exc)
         seconds += time.perf_counter() - t0
-        settle()
-        work = "/".join(str(counts[k] - before[k])
-                        for k in ("patterns", "starts", "iterations"))
+        for key in totals:
+            totals[key] += getattr(d, key)
+        work = f"{d.patterns_tried}/{d.starts_tried}/{d.newton_iterations}"
         kind = "tp" if isinstance(prob, TwoPointProblem) else "pd"
         if res is None:
             failures += 1
             print(f"{i} {kind} n={E.dim} fail - - {work} - {error}")
             continue
-        d = res.diagnostics
         cands = ",".join(f"{flags(q)}:{s.hex()}" for q, s in d.candidates)
         print(f"{i} {kind} n={E.dim} ok {res.scalar.hex()} "
               f"{flags(d.pattern)} {work} {cands}")
     print(f"problems={args.count} failures={failures} "
-          f"newton_iterations={counts['iterations']} "
-          f"residuals={counts['residuals']} "
-          f"residual_calls={counts['residual_calls']} "
-          f"guards={counts['guards']} "
+          f"newton_iterations={totals['newton_iterations']} "
+          f"residuals={totals['residual_rows']} "
+          f"residual_calls={totals['residual_calls']} "
+          f"guards={totals['guard_calls']} "
           f"seconds={seconds:.2f}")
 
 

@@ -18,7 +18,6 @@ from .extremal_map import ExtremalMapParams
 from .polyfactor import unit_circle_grid
 
 __all__ = [
-    "FactorizationTriple",
     "FamilyFitReport",
     "FitPreconditionError",
     "FourierCoefficients",
@@ -69,22 +68,6 @@ class FitPreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class FactorizationTriple:
-    """Per-component factorization summary from a membership fit.
-
-    `blaschke_zeros` are the component's pinned interior zeros.
-    `outer_log_modulus` is the fitted model log |phi_j| on the M-point
-    grid, NaN at the masked samples.  `singular_defect` is the RMS of
-    the component's log-modulus residual over its usable samples; it
-    does not measure a singular inner factor.
-    """
-
-    blaschke_zeros: tuple[complex, ...]
-    outer_log_modulus: np.ndarray
-    singular_defect: float
-
-
-@dataclass(frozen=True)
 class FamilyFitReport:
     """Outcome of fitting candidate boundary data to the extremal family.
 
@@ -103,9 +86,7 @@ class FamilyFitReport:
     singular_defect: float
     constraint_residual: float
     u_defect: float
-    triples: tuple[FactorizationTriple, ...]
     masked: int
-    tol: float
 
 
 def least_squares(*args, **kwargs):
@@ -313,7 +294,6 @@ def fit_extremal_family(
     rms_by = tuple(
         float(np.sqrt(np.mean((fit[j][masks[j]] - logmods[j][masks[j]]) ** 2)))
         for j in range(n))
-    outer = np.where(masks, fit, np.nan)
     rms_total = float(np.sqrt(np.mean((fit[masks] - data) ** 2)))
     cres = extremal_map.constraint_residual(params, ellipsoid)
     in_family = rms_total <= tol and cres <= max(10 * tol, 1e-8)
@@ -325,8 +305,5 @@ def fit_extremal_family(
         singular_defect=max(rms_by),
         constraint_residual=cres,
         u_defect=u_defect,
-        triples=tuple(FactorizationTriple(pinned[j], outer[j], rms_by[j])
-                      for j in range(n)),
         masked=int(np.count_nonzero(~masks)),
-        tol=tol,
     )

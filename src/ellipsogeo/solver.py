@@ -67,7 +67,16 @@ __all__ = [
 
 
 class SolveError(RuntimeError):
-    """No validated family member was found for the problem."""
+    """No validated family member was found for the problem.
+
+    `diagnostics` is what the search did, a `SolveDiagnostics` with
+    `pattern` None, when the search ran; it is None when the problem was
+    refused before any start ran.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class BruteForceError(RuntimeError):
@@ -144,19 +153,26 @@ class ResidualReport:
 class SolveDiagnostics:
     """What the search did.
 
-    `patterns_tried` counts the flag patterns entered, `starts_tried`
-    the Newton starts over them, `newton_iterations` the Newton steps
-    over those starts; `candidates` lists the validated (pattern, scalar)
-    pairs, at most one per pattern, in search order.  The starts of a
-    batch after its winner ran in lockstep with it but are not counted,
-    so the counts are those of a search that runs its starts one at a
-    time.
+    `pattern` is the flag pattern of the returned candidate, None for a
+    failed search.  `patterns_tried` counts the flag patterns entered,
+    `starts_tried` the Newton starts over them, and `newton_iterations`,
+    `residual_rows` and `guard_calls` the Newton steps, the residual
+    evaluations (one row of a residual call each) and the line-search
+    guard calls of those starts.  The starts of a batch after its winner
+    ran in lockstep with it but are not counted, so these counts are
+    those of a search that runs its starts one at a time.
+    `residual_calls` counts the batched residual calls the search made,
+    all of them.  `candidates` lists the validated (pattern, scalar)
+    pairs, at most one per pattern, in search order.
     """
 
-    pattern: tuple[int, ...]
+    pattern: tuple[int, ...] | None
     patterns_tried: int
     starts_tried: int
     newton_iterations: int
+    residual_rows: int
+    guard_calls: int
+    residual_calls: int
     candidates: tuple[tuple[tuple[int, ...], float], ...]
     elapsed: float
 
@@ -399,19 +415,21 @@ def _unpack(x, n):
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobian_layout(n, size):
-    """Where `_system`'s Jacobian stack of `size` starts takes its entries.
+def _jacobian_layout(n):
+    """Where `_system`'s Jacobian of a start takes its entries.
 
     Component rows hold, per residual (phi(0), then the second datum) and
     component j, seven complex entries: val at d/d(rho_j) (linear in
     a_j), 1j val at d/d(psi_j), d + dbar and 1j (d - dbar) at the two
     columns of alpha_j, d0bar and -1j d0bar at those of alpha0
     (antiholomorphic), and ds at the scalar.  The Jacobian stacks them as
-    (entry, residual, start, component).  Returns the flat position in
-    the (size, cols, cols) stack of each of their real and imaginary
-    parts, and the stack with its constant entries (read-only, to copy).
-    The cache holds one layout per dimension and stack height in use,
-    and the heights are 1 and `SolverConfig.starts`.
+    (entry, residual, start, component).  Returns the flat position in a
+    (cols, cols) matrix of each of their real and imaginary parts, with
+    an axis of length 1 for the start (start k of a stack adds k cols^2),
+    and the matrix of one start with its constant entries (read-only, to
+    repeat).  The cache holds one layout per dimension, whatever the
+    stack height: the search calls it at every height from
+    `SolverConfig.starts` down to 1 as the starts of a batch finish.
     """
     idx = np.arange(n)
     cols = 4 * n + 3
@@ -423,11 +441,10 @@ def _jacobian_layout(n, size):
                 + idx[None, :, None])
     at = (ent_rows[None] * cols
           + ent_cols[:, None, :, None])[:, :, None]      # (7, 2, 1, n, 2)
-    starts = cols * cols * np.arange(size)[:, None, None]
-    blank = np.zeros((size, cols, cols))
+    blank = np.zeros((1, cols, cols))
     blank[:, 4 * n, 4 * n] = blank[:, 4 * n + 1, 4 * n + 1] = -1.0
     blank.flags.writeable = False
-    return (at + starts).ravel(), blank
+    return at, blank
 
 
 def _system(kind, z, tg, rpat, p):
@@ -542,9 +559,13 @@ def _system(kind, z, tg, rpat, p):
         np.add(d, dbar, out=ent[2])
         np.multiply(1j, d - dbar, out=ent[3])
         np.multiply(-1j, ent[4], out=ent[5])
-        scatter, blank = _jacobian_layout(n, size)
-        J = blank.copy()
-        J.ravel()[scatter] = ent.view(float).ravel()
+        at, blank = _jacobian_layout(n)
+        if size > 1:
+            # start k of the stack lies k matrices further on
+            sq = cols * cols
+            at = at + np.arange(0, size * sq, sq)[:, None, None]
+        J = blank.repeat(size, axis=0)
+        J.ravel()[at.ravel()] = ent.view(float).ravel()
         dw = two_p * wgt                        # d(w_j)/d(rho_j)
         dwa = dw * alpha
         J[:, t0, :n] = dwa.real
@@ -765,16 +786,21 @@ def _solve_core(ellipsoid, data: _Intake, config):
     if not patterns:
         raise SolveError("no admissible flag pattern "
                          "(zero components need flag 1)")
-    patterns_tried = 0
-    starts_tried = 0
-    newton_iters = 0
+    # the search's counts, under their `SolveDiagnostics` names
+    work = dict.fromkeys(("patterns_tried", "starts_tried",
+                          "newton_iterations", "residual_rows",
+                          "guard_calls", "residual_calls"), 0)
 
     def first_validated(F, jac, rpat, x0):
         """Run the starts x0 of a flag pattern in lockstep and validate
         the converged ones in start order: the (params, report, scalar)
         of the first that passes and its index, or (None, None)."""
-        nonlocal starts_tried, newton_iters
-        found, iters, *_ = _damped_newton(F, jac, x0, guard, reach)
+        def residual(x):
+            work["residual_calls"] += 1
+            return F(x)
+
+        found, *per_start = _damped_newton(residual, jac, x0, guard, reach)
+        won, used = (None, None), len(found)
         for k, x in enumerate(found):
             if x is None:
                 continue
@@ -782,16 +808,17 @@ def _solve_core(ellipsoid, data: _Intake, config):
             params = _assemble(x, n, rpat)
             ok, report = _validate(params, sub, kind, z, tg, scalar, config)
             if ok:
-                # the starts after the winner count as never run
-                starts_tried += k + 1
-                newton_iters += sum(iters[: k + 1])
-                return (params, report, scalar), k
-        starts_tried += len(found)
-        newton_iters += sum(iters)
-        return None, None
+                won, used = ((params, report, scalar), k), k + 1
+                break
+        # the starts after the winner count as never run
+        work["starts_tried"] += used
+        for key, counts in zip(("newton_iterations", "residual_rows",
+                                "guard_calls"), per_start):
+            work[key] += sum(counts[:used])
+        return won
 
     for pat in patterns:
-        patterns_tried += 1
+        work["patterns_tried"] += 1
         rpat = np.asarray(pat)
         F, jac = _system(kind, z, tg, rpat, p)
         x_base = _seed(z, beta, scalar0, rpat, p)
@@ -817,11 +844,16 @@ def _solve_core(ellipsoid, data: _Intake, config):
         # (Lempert), so its scalar is already the extremal value
         if ellipsoid.is_convex:
             break
-    elapsed = time.monotonic() - t_start
+    diag = SolveDiagnostics(
+        pattern=None if best is None else best[2],
+        candidates=tuple(candidates),
+        elapsed=time.monotonic() - t_start,
+        **work,
+    )
     if best is None:
         raise SolveError(
-            f"no validated solution after {starts_tried} starts over "
-            f"{patterns_tried} flag patterns")
+            f"no validated solution after {work['starts_tried']} starts over "
+            f"{work['patterns_tried']} flag patterns", diag)
     params, report, pat, scalar = best
     alternates = tuple((q, s) for q, s in candidates
                        if (q, s) != (pat, scalar)
@@ -829,14 +861,6 @@ def _solve_core(ellipsoid, data: _Intake, config):
     label = ("geodesic (convex domain: stationarity is sufficient)"
              if ellipsoid.is_convex
              else "extremal candidate (stationarity only: domain not convex)")
-    diag = SolveDiagnostics(
-        pattern=pat,
-        patterns_tried=patterns_tried,
-        starts_tried=starts_tried,
-        newton_iterations=newton_iters,
-        candidates=tuple(candidates),
-        elapsed=elapsed,
-    )
     return SolveResult(
         kind=kind,
         scalar=scalar,

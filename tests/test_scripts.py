@@ -63,19 +63,30 @@ def test_fit_round_trip_counts_the_fits():
 
 
 def test_solve_draw_prints_one_line_per_problem():
-    proc = run_script("solve_draw.py", "--count", "4")
+    proc = run_script("solve_draw.py", "--count", "8")
     assert proc.returncode == 0, proc.stderr
     *lines, totals = proc.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
-        ["0", "tp"], ["1", "pd"], ["2", "tp"], ["3", "pd"]]
-    assert all(line.split()[3] in ("ok", "fail") for line in lines)
+        [str(i), "pd" if i % 2 else "tp"] for i in range(8)]
+    outcomes = [line.split()[3] for line in lines]
+    assert set(outcomes) <= {"ok", "fail"}
     fields = dict(item.split("=") for item in totals.split())
     assert list(fields) == ["problems", "failures", "newton_iterations",
                             "residuals", "residual_calls", "guards",
                             "seconds"]
-    assert fields["problems"] == "4"
-    # every Newton iteration evaluates at least one residual and guards it
+    assert fields["problems"] == "8"
+    # problems #6 and #7 fail; their counts come with the SolveError and
+    # agree with its message
+    assert fields["failures"] == "2" and outcomes[6:] == ["fail", "fail"]
+    for line in lines[6:]:
+        patterns, starts, iters = line.split()[6].split("/")
+        assert line.endswith(f"after {starts} starts over {patterns} flag "
+                             "patterns")
+        assert int(iters) > 0
+    # the total counts the Newton iterations of every line, failed ones too
     iters = int(fields["newton_iterations"])
+    assert iters == sum(int(line.split()[6].split("/")[2]) for line in lines)
+    # every Newton iteration evaluates at least one residual and guards it
     assert 0 < iters <= int(fields["residuals"]) <= int(fields["guards"])
     # a residual call evaluates one row or more
     assert 0 < int(fields["residual_calls"]) <= int(fields["residuals"])

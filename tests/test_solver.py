@@ -413,7 +413,7 @@ def test_replayed_draws_give_later_patterns_their_one_at_a_time_starts(
     beta, scalar0, scalar_hi = _second_datum(data.kind, z, tg)
     guard, reach = solver._make_guard(n, scalar_hi), solver._make_reach(n)
     rng = np.random.default_rng(SolverConfig().seed)
-    want, winners = [], []
+    want, winners, work = [], [], np.zeros(3, dtype=int)
     for pat in solver._patterns(z, None):
         rpat = np.asarray(pat)
         F, jac = _system(data.kind, z, tg, rpat, p)
@@ -421,13 +421,20 @@ def test_replayed_draws_give_later_patterns_their_one_at_a_time_starts(
         for start in range(SolverConfig().starts + 1):
             x0 = x_base if start == 0 else _perturb(x_base, rng, n, scalar_hi)
             want.append(x0)
-            (x,), _, _, _ = newton(F, jac, x0[None], guard, reach)
+            (x,), *alone = newton(F, jac, x0[None], guard, reach)
+            work += [count for (count,) in alone]
             if x is not None and solver._validate(
                     solver._assemble(x, n, rpat), Ellipsoid(tuple(p)),
                     data.kind, z, tg, float(x[4 * n + 2]), SolverConfig())[0]:
                 winners.append((pat, start))
                 break
     assert winners == [((0, 0, 1), 2)]
+    # the diagnostics count the starts up to the winner, as that search
+    # runs them
+    d = res.diagnostics
+    assert d.starts_tried == len(want)
+    assert (d.newton_iterations, d.residual_rows, d.guard_calls) == \
+        tuple(work)
     # the solver ran every start of those draws, and the pattern after
     # the winner started from the same draws
     got = np.concatenate(batches)
@@ -659,40 +666,53 @@ def test_newton_fails_below_its_last_rung():
 
 
 def test_line_search_skips_the_rungs_the_zeros_rule_out(monkeypatch):
-    # the pinned non-convex search of the test below, with the guard and
-    # the residual counted: the line search starts at the first rung the
-    # zeros allow, so only the guard's work falls (2015 calls when every
-    # rung from 1 down to _NEWTON_MIN_STEP was tested) and every residual
-    # row stays.  The perturbed starts of a pattern share their calls:
-    # 425 residual rows take 136 calls, and 220 Newton steps 64
-    # Jacobian stacks.
-    counts = {"guard": 0, "residual": 0, "residual_calls": 0,
-              "jacobians": 0}
-    make_guard, system = solver._make_guard, solver._system
-
-    def counted(fun, key):
-        def call(*args):
-            counts[key] += 1
-            return fun(*args)
-        return call
+    # the pinned non-convex search of the test below: the line search
+    # starts at the first rung the zeros allow, so only the guard's work
+    # falls (2015 calls when every rung from 1 down to _NEWTON_MIN_STEP
+    # was tested) and every residual row stays.  The perturbed starts of
+    # a pattern share their calls: 425 residual rows take 136 calls, and
+    # 220 Newton steps 64 Jacobian stacks.
+    jacobians, system = [], solver._system
 
     def counting_system(*args):
         F, jac = system(*args)
 
-        def residual(x):
-            counts["residual"] += len(x)
-            return F(x)
-        return (counted(residual, "residual_calls"),
-                counted(jac, "jacobians"))
+        def counted(parts):
+            jacobians.append(len(parts[0]))
+            return jac(parts)
+        return F, counted
 
-    monkeypatch.setattr(solver, "_make_guard",
-                        lambda *args: counted(make_guard(*args), "guard"))
     monkeypatch.setattr(solver, "_system", counting_system)
     res = solve_two_point(Ellipsoid((0.3, 1.0)),
                           TwoPointProblem((0.05, 0.2j), (0.1, -0.1)))
-    assert res.diagnostics.newton_iterations == 220
-    assert (counts["guard"], counts["residual"]) == (591, 425)
-    assert (counts["residual_calls"], counts["jacobians"]) == (136, 64)
+    d = res.diagnostics
+    assert d.newton_iterations == 220
+    assert (d.guard_calls, d.residual_rows) == (591, 425)
+    assert (d.residual_calls, len(jacobians)) == (136, 64)
+
+
+def test_jacobian_layouts_are_cached_per_dimension_not_per_height(
+        monkeypatch):
+    # the starts of a batch finish at different steps, so a search with
+    # 64 starts per pattern builds Jacobian stacks of many heights; the
+    # layout cache keeps one entry for the dimension whatever they are
+    heights, system = set(), solver._system
+
+    def recording_system(*args):
+        F, jac = system(*args)
+
+        def recorded(parts):
+            heights.add(len(parts[0]))
+            return jac(parts)
+        return F, recorded
+
+    monkeypatch.setattr(solver, "_system", recording_system)
+    solver._jacobian_layout.cache_clear()
+    solve_two_point(Ellipsoid((0.25, 0.25, 1.0)),
+                    TwoPointProblem((0.05, 0.2j, 0.1), (0.1, -0.1, 0.05)),
+                    SolverConfig(starts=64))
+    assert len(heights) > 10 and max(heights) == 64
+    assert solver._jacobian_layout.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("p, kind, z, tg", [
@@ -806,10 +826,16 @@ def test_search_moves_past_a_converged_start_that_fails_validation(
     monkeypatch.setattr(solver, "_validate", recorded)
     strict = SolverConfig(interpolation_tol=1e-30, constraint_tol=1e-30,
                           boundary_tol=1e-30)
-    with pytest.raises(SolveError, match="after 18 starts over 2 flag "):
+    with pytest.raises(SolveError,
+                       match="after 18 starts over 2 flag ") as info:
         solve_two_point(Ellipsoid((1.0,)), TwoPointProblem((0.1,), (0.5,)),
                         strict)
     assert len(verdicts) >= 2 and not any(verdicts)
+    # the error carries what the search did
+    d = info.value.diagnostics
+    assert (d.patterns_tried, d.starts_tried) == (2, 18)
+    assert d.pattern is None and d.candidates == ()
+    assert 0 < d.newton_iterations <= d.residual_rows <= d.guard_calls
 
 
 def test_baseline_instance_search_counts():
