@@ -14,12 +14,13 @@ system square, and a damped Newton iteration with a closed-form Jacobian
 and seeded multistart per flag pattern hunts for roots.  A pattern's base
 start runs alone; if it gives no validated candidate, its perturbed
 starts run as one batch in lockstep (`_damped_newton`), sharing every
-residual and Jacobian call while each takes, bit for bit, the path it
-takes alone (which is why the tying row takes |alpha0| from the scalar
-`abs`, see `_system`), and the lowest-numbered start that validates
-wins.  The batch draws all its perturbations up front, so the random
-generator is then set back to where a search drawing one start at a time
-would have stopped, and later patterns get that search's starts.
+residual call, Jacobian call and stacked LU solve of the Newton steps
+while each takes, bit for bit, the path it takes alone (which is why the
+tying row takes |alpha0| from the scalar `abs`, see `_system`), and the
+lowest-numbered start that validates wins.  The batch draws all its
+perturbations up front, so the random generator is then set back to
+where a search drawing one start at a time would have stopped, and later
+patterns get that search's starts.
 Candidates are re-validated from scratch (interpolation, tying identity,
 boundary closeness) before they are allowed to compete on the scalar.  On a
 convex ellipsoid every validated candidate is a complex geodesic
@@ -277,6 +278,15 @@ _NEWTON_TOL = 1e-12      # max-norm residual at which a start has converged
 _NEWTON_MIN_STEP = 2.0 ** -16   # the last rung of the line search
 
 
+def _newton_steps(J, fx):
+    """The Newton steps s[k] with J[k] s[k] = -fx[k] of a stack: one LU
+    factorisation with partial pivoting per square J[k] (LAPACK gesv), so
+    row k has the bytes a stack of one gives it.  Raises
+    `np.linalg.LinAlgError` for the whole stack when some J[k] is exactly
+    singular."""
+    return np.linalg.solve(J, -fx[..., None])[..., 0]
+
+
 def _damped_newton(F, jac, x0, guard, reach):
     """Newton with a backtracking (Armijo) line search, on a batch of
     starts in lockstep.
@@ -297,13 +307,17 @@ def _damped_newton(F, jac, x0, guard, reach):
     to need a rung below 2^-14.
 
     The starts share the calls, not the arithmetic.  Each step builds one
-    Jacobian stack for every start still iterating; each round of the
-    line search moves every start still searching down past the rungs
-    its guard rejects, and one residual call evaluates all of their
-    rungs.  The Newton step (one `lstsq` per start), the guard, `reach`
-    and the Armijo test stay per start, and `_system` computes every row
-    as it computes a stack of one, so each start takes the path, bit for
-    bit, that it takes alone.
+    Jacobian stack for every start still iterating and solves it for the
+    Newton steps in one call (`_newton_steps`: the square J needs an LU
+    factorisation, Dennis-Schnabel section 6.1, not a least-squares
+    solve); each round of the line search moves every start still
+    searching down past the rungs its guard rejects, and one residual
+    call evaluates all of their rungs.  The guard, `reach` and the Armijo
+    test stay per start, and `_system` and the solve compute every row as
+    they compute a stack of one, so each start takes the path, bit for
+    bit, that it takes alone.  A start whose J is exactly singular fails
+    at that step; the solve refuses the whole stack then, so the stack
+    is solved again one start at a time.
 
     Returns four lists with one entry per start: the converged x or None,
     the Newton iterations, and the start's residual evaluations (rows)
@@ -335,10 +349,21 @@ def _damped_newton(F, jac, x0, guard, reach):
             nrm = [nrm[k] for k in keep]
             x, fx, *parts = (q[keep] for q in (x, fx, *parts))
         J = jac(parts)
+        try:
+            steps = _newton_steps(J, fx)
+        except np.linalg.LinAlgError:
+            # some J is singular: that start fails, the others step
+            steps = []
+            for k in range(len(x)):
+                try:
+                    steps.append(_newton_steps(J[k: k + 1], fx[k: k + 1])[0])
+                except np.linalg.LinAlgError:
+                    steps.append(None)
         # per start still iterating: [row, x, Newton step, rung]
         ladders = []
-        for k, xk in enumerate(x):
-            step = np.linalg.lstsq(J[k], -fx[k], rcond=None)[0]
+        for k, (xk, step) in enumerate(zip(x, steps)):
+            if step is None:
+                continue
             t = 1.0
             skip = 2.0 * reach(xk, step)
             while t > skip and t >= _NEWTON_MIN_STEP:
@@ -408,8 +433,10 @@ def _unpack(x, n):
     """The unknowns of one iterate x, or of each row of a stack: rho and
     psi with n entries, the zeros alpha_1..alpha_n then alpha0, and the
     scalar."""
-    # not a complex view: the sum turns a -0.0 into +0.0, and lstsq's
-    # Householder reflectors take their signs from such zeros
+    # not a complex view: the sum turns a -0.0 into +0.0, so the bytes
+    # of the residual and Jacobian rows do not depend on the sign of a
+    # zero in x.  The LU step's pivots compare magnitudes, so a view
+    # would move only the signs of zero entries, not a value
     zeros = x[..., 2 * n: 4 * n + 2: 2] + 1j * x[..., 2 * n + 1: 4 * n + 2: 2]
     return x[..., :n], x[..., n: 2 * n], zeros, x[..., 4 * n + 2:]
 
