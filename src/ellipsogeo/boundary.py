@@ -89,16 +89,73 @@ class FamilyFitReport:
     masked: int
 
 
-def least_squares(*args, **kwargs):
-    """`scipy.optimize.least_squares`, imported on the first call.
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """One `least_squares` run: the last accepted point `x`, its residual
+    vector `fun`, and the number of residual calls the run made."""
 
-    Importing scipy.optimize costs most of a CLI process's start-up and
-    only the membership fit needs it.  The fit calls it through this
-    module attribute, so a test or a tracer can substitute
-    `boundary.least_squares`.
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+def least_squares(fun, x0, jac, *, xtol=1e-15, ftol=1e-15, max_nfev=4000):
+    """Minimize 0.5 ||fun(x)||^2 from x0 by Levenberg-Marquardt.
+
+    Each trial step h solves the damped normal equations
+    (J^T J + mu diag(d)) h = -J^T r, where d is the running maximum of
+    diag(J^T J) over the points visited, 1 in a column that has stayed
+    zero (Marquardt's scaling, as in MINPACK's `lmder`).  mu starts at
+    0.1.  A step that lowers the cost is taken, and mu shrinks by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the
+    predicted decrease; any other step, one to non-finite residuals
+    included, is refused, and mu grows by a factor that doubles with
+    each refusal in a row (Nielsen, IMM report, 1999; Moré, 1978).  The
+    run stops when a step is at most xtol relative to x, when a taken
+    step's actual and predicted decreases are both at most ftol relative
+    to the cost, or once max_nfev residuals have been evaluated; `nfev`
+    counts every call of `fun`.
+
+    Raises ValueError when the residuals at x0 are not all finite.  The
+    fit calls this through the module attribute, so a test or a tracer
+    can substitute `boundary.least_squares`.
     """
-    from scipy.optimize import least_squares as scipy_least_squares
-    return scipy_least_squares(*args, **kwargs)
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    nfev = 1
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals are not finite at the start")
+    cost = 0.5 * (r @ r)
+    mu, grow = 0.1, 2.0
+    d = np.zeros(x.size)
+    new_point = True
+    while nfev < max_nfev:
+        if new_point:
+            J = jac(x)
+            A, g = J.T @ J, J.T @ r
+            d = np.maximum(d, np.diag(A))
+            scale = np.where(d > 0.0, d, 1.0)
+        h = np.linalg.solve(A + np.diag(mu * scale), -g)
+        if (not np.all(np.isfinite(h))
+                or np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol)):
+            break
+        x_new = x + h
+        r_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * (r_new @ r_new)
+        decrease = cost - cost_new
+        predicted = 0.5 * (h @ (mu * scale * h - g))
+        new_point = decrease > 0.0   # False for non-finite residuals
+        if not new_point:
+            mu, grow = mu * grow, 2.0 * grow
+            continue
+        small = decrease <= ftol * cost and predicted <= ftol * cost
+        x, r, cost = x_new, r_new, cost_new
+        if small:
+            break
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
+        grow = 2.0
+    return LeastSquaresResult(x, r, nfev)
 
 
 def fit_extremal_family(
@@ -247,9 +304,8 @@ def fit_extremal_family(
     for trial in range(7):
         x0 = start(None if trial == 0 else rng)
         try:
-            sol = least_squares(residual, x0, jac=jacobian, method="lm",
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                max_nfev=4000)
+            sol = least_squares(residual, x0, jac=jacobian, xtol=1e-15,
+                                ftol=1e-15, max_nfev=4000)
         except ValueError:
             # least_squares raises this for a start it cannot use, such
             # as one with non-finite residuals

@@ -18,12 +18,19 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import boundary, extremal_map, functionals, polyfactor, solver
+# `solver`, `boundary` and `functionals` are imported by the subcommands
+# that call them, so the others start without compiling them; calls go
+# through the module, where a tracer's substitutes are seen
+from . import extremal_map, polyfactor
 from .ellipsoid import Ellipsoid
 from .extremal_map import SCHEMA, pair, unpair
+
+if TYPE_CHECKING:
+    from . import functionals, solver
 
 
 class _UsageError(Exception):
@@ -111,6 +118,7 @@ def _bundle_in(obj: dict):
 
 def _problem_in(obj: dict):
     """The two_point or point_direction section as a solver problem."""
+    from . import solver
     if "two_point" in obj:
         spec = obj["two_point"]
         return solver.TwoPointProblem(tuple(map(unpair, spec["z"])),
@@ -197,6 +205,7 @@ def cmd_validate(args, obj: dict) -> int:
 
 
 def cmd_solve(args, obj: dict) -> int:
+    from . import solver
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     config = solver.SolverConfig(
         seed=args.seed, starts=args.starts,
@@ -232,6 +241,7 @@ def cmd_factor(args, obj: dict) -> int:
 
 
 def cmd_fit(args, obj: dict) -> int:
+    from . import boundary
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     m = int(obj.get("m", args.m))
     samples = np.array([[unpair(v) for v in row] for row in obj["samples"]])
@@ -274,6 +284,7 @@ def _spec_to_json(spec: functionals.ProblemSpec) -> dict:
 
 
 def _spec_from_json(obj: dict) -> functionals.ProblemSpec:
+    from . import functionals
     funcs = []
     for f in obj["functionals"]:
         terms = tuple({int(s): unpair(c) for s, c in table.items()}
@@ -286,6 +297,7 @@ def _spec_from_json(obj: dict) -> functionals.ProblemSpec:
 
 
 def cmd_functional(args, obj: dict) -> int:
+    from . import functionals
     if "build" in obj:
         spec_in = obj["build"]
         kind = spec_in["kind"]
@@ -320,6 +332,7 @@ def cmd_functional(args, obj: dict) -> int:
 
 
 def cmd_oracle(args, obj: dict) -> int:
+    from . import solver
     ellipsoid = Ellipsoid.from_json(obj["ellipsoid"])
     problem = _problem_in(obj)
     kind = obj["kind"]

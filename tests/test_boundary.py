@@ -316,10 +316,9 @@ def test_fit_spends_no_residuals_on_finite_differences(monkeypatch):
     assert rep.in_family
     for _, jac, _, res, calls in runs:
         assert callable(jac)
-        # scipy skips a call at an unchanged x, so a run may make one
-        # call fewer than MINPACK's count; a finite-difference Jacobian
-        # would add one call per unknown
-        assert 0 < calls <= res.nfev
+        # `nfev` counts every residual call, and a finite-difference
+        # Jacobian would add one call per unknown to the spy's count
+        assert calls == res.nfev
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -346,3 +345,95 @@ def test_fit_checks_the_degree_before_the_grid(m, M, message):
     zeta = np.exp(2j * np.pi * np.arange(M) / M)
     with pytest.raises(ValueError, match=message):
         fit_extremal_family(zeta[None, :], ((),), Ellipsoid((1.0,)), m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_is_bit_identical_between_calls():
+    rng = np.random.default_rng(2)
+    p = tuple(rng.uniform(0.6, 2.5, 3))
+    E = Ellipsoid(p)
+    params = em.random_valid_params(rng, p, 2)
+    trace = em.boundary_trace(params, E, 256)
+    first, second = (fit_extremal_family(trace, ((),) * 3, E, 2)
+                     for _ in range(2))
+    for name in ("a", "alpha0", "alpha", "r"):
+        assert np.array_equal(getattr(first.params, name),
+                              getattr(second.params, name))
+    assert first.rms_total == second.rms_total
+    assert first.rms_by_component == second.rms_by_component
+
+
+# --- Levenberg-Marquardt ----------------------------------------------------
+
+def _counted(fun):
+    """fun, and a list that gets one entry per call of it."""
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return fun(x)
+    return counting, calls
+
+
+def test_least_squares_solves_a_linear_problem():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 5))
+    want = rng.standard_normal(5)
+    b = A @ want
+    fun, calls = _counted(lambda x: A @ x - b)
+    res = boundary.least_squares(fun, np.zeros(5), jac=lambda x: A)
+    assert np.max(np.abs(res.x - want)) <= 1e-12
+    assert np.array_equal(res.fun, A @ res.x - b)
+    assert res.nfev == len(calls)
+
+
+def test_least_squares_matches_minpack_with_a_nonzero_residual():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1)
+    t = np.linspace(0.0, 4.0, 40)
+    y = 2.5 * np.exp(-1.3 * t) + 0.3 + 0.05 * rng.standard_normal(t.size)
+
+    def residual(x):
+        return x[0] * np.exp(x[1] * t) + x[2] - y
+
+    def jacobian(x):
+        e = np.exp(x[1] * t)
+        return np.column_stack((e, x[0] * t * e, np.ones_like(t)))
+
+    x0 = np.array([1.0, -0.5, 0.0])
+    fun, calls = _counted(residual)
+    res = boundary.least_squares(fun, x0, jac=jacobian)
+    ref = scipy_optimize.least_squares(residual, x0, jac=jacobian,
+                                       method="lm", xtol=1e-15, ftol=1e-15,
+                                       gtol=1e-15)
+    assert np.sqrt(np.mean(ref.fun ** 2)) > 0.01
+    assert np.max(np.abs(res.x - ref.x)) <= 1e-9
+    assert res.nfev == len(calls)
+
+
+def test_least_squares_refuses_a_non_finite_start():
+    fun, calls = _counted(lambda x: np.array([np.log(x[0]), x[1]]))
+    with pytest.raises(ValueError, match="not finite"):
+        with np.errstate(invalid="ignore"):
+            boundary.least_squares(fun, np.array([-1.0, 0.0]),
+                                   jac=lambda x: np.eye(2))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("max_nfev", [1, 2, 7])
+def test_least_squares_honours_max_nfev(max_nfev):
+    # Rosenbrock's valley from its classic start takes dozens of calls
+    def residual(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def jacobian(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    fun, calls = _counted(residual)
+    res = boundary.least_squares(fun, np.array([-1.2, 1.0]), jac=jacobian,
+                                 max_nfev=max_nfev)
+    assert res.nfev == len(calls) == max_nfev
+    full = boundary.least_squares(residual, np.array([-1.2, 1.0]),
+                                  jac=jacobian)
+    assert full.nfev > 7
+    assert np.max(np.abs(full.x - 1.0)) <= 1e-12

@@ -329,8 +329,8 @@ def test_outputs_are_deterministic(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is most of a CLI process's start-up; only `fit` and
-    # a `brute` oracle need it, and they load it on first use
+    # scipy.optimize is most of a CLI process's start-up; only a `brute`
+    # oracle needs it, and it loads it on first use
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ellipsogeo, ellipsogeo.cli; "
@@ -339,6 +339,31 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, make_input, extra, unloaded", [
+    # the fit's Levenberg-Marquardt is numpy alone; only a `brute` oracle
+    # loads scipy
+    ("fit", lambda: fit_input(1), [], "scipy"),
+    # a subcommand that needs no solver does not import it
+    ("eval", flat_bundle, ["--at", "0.3,0.1"], "ellipsogeo.solver"),
+])
+def test_cli_run_leaves_unneeded_modules_unloaded(tmp_path, command,
+                                                  make_input, extra,
+                                                  unloaded):
+    inp = tmp_path / "in.json"
+    write_json(inp, make_input())
+    argv = [command, "--input", str(inp), "--output", str(tmp_path / "out"),
+            *extra]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ellipsogeo import cli; "
+         f"code = cli.main({argv!r}); "
+         "print(code, sorted(m for m in sys.modules "
+         f"if m == {unloaded!r} or m.startswith({unloaded + '.'!r})))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_fit_rejects_data_of_a_higher_band_degree(tmp_path):
