@@ -99,7 +99,13 @@ class LeastSquaresResult:
     nfev: int
 
 
-def least_squares(fun, x0, jac, *, xtol=1e-15, ftol=1e-15, max_nfev=4000):
+# least_squares stops at a step, or a taken step's decreases, this small
+# relative to x, or to the cost
+_XTOL = 1e-15
+_FTOL = 1e-15
+
+
+def least_squares(fun, x0, jac, *, max_nfev=4000):
     """Minimize 0.5 ||fun(x)||^2 from x0 by Levenberg-Marquardt.
 
     Each trial step h solves the damped normal equations
@@ -111,10 +117,10 @@ def least_squares(fun, x0, jac, *, xtol=1e-15, ftol=1e-15, max_nfev=4000):
     predicted decrease; any other step, one to non-finite residuals
     included, is refused, and mu grows by a factor that doubles with
     each refusal in a row (Nielsen, IMM report, 1999; Moré, 1978).  The
-    run stops when a step is at most xtol relative to x, when a taken
-    step's actual and predicted decreases are both at most ftol relative
-    to the cost, or once max_nfev residuals have been evaluated; `nfev`
-    counts every call of `fun`.
+    run stops when a step is at most _XTOL relative to x, when a taken
+    step's actual and predicted decreases are both at most _FTOL relative
+    to the cost (both 1e-15), or once max_nfev residuals have been
+    evaluated; `nfev` counts every call of `fun`.
 
     Raises ValueError when the residuals at x0 are not all finite.  The
     fit calls this through the module attribute, so a test or a tracer
@@ -137,7 +143,7 @@ def least_squares(fun, x0, jac, *, xtol=1e-15, ftol=1e-15, max_nfev=4000):
             scale = np.where(d > 0.0, d, 1.0)
         h = np.linalg.solve(A + np.diag(mu * scale), -g)
         if (not np.all(np.isfinite(h))
-                or np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol)):
+                or np.linalg.norm(h) <= _XTOL * (np.linalg.norm(x) + _XTOL)):
             break
         x_new = x + h
         r_new = fun(x_new)
@@ -149,7 +155,7 @@ def least_squares(fun, x0, jac, *, xtol=1e-15, ftol=1e-15, max_nfev=4000):
         if not new_point:
             mu, grow = mu * grow, 2.0 * grow
             continue
-        small = decrease <= ftol * cost and predicted <= ftol * cost
+        small = decrease <= _FTOL * cost and predicted <= _FTOL * cost
         x, r, cost = x_new, r_new, cost_new
         if small:
             break
@@ -304,13 +310,10 @@ def fit_extremal_family(
     for trial in range(7):
         x0 = start(None if trial == 0 else rng)
         try:
-            sol = least_squares(residual, x0, jac=jacobian, xtol=1e-15,
-                                ftol=1e-15, max_nfev=4000)
+            sol = least_squares(residual, x0, jac=jacobian, max_nfev=4000)
         except ValueError:
             # least_squares raises this for a start it cannot use, such
             # as one with non-finite residuals
-            continue
-        if not np.all(np.isfinite(sol.x)):
             continue
         rms = float(np.sqrt(np.mean(sol.fun ** 2)))
         if best is None or rms < best[0]:
