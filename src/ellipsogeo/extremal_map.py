@@ -8,9 +8,12 @@ A member with band degree m >= 1 and target dimension n has components
 for j = 1..n, k = 1..m, with a_j nonzero complex, A_kj in the closed
 unit disc (open disc where r_kj = 1), r_kj in {0, 1}, and A_k0 the tied
 zeros shared by all components.  The fractional powers are principal:
-since Re(1 - conj(A) lam) > 0 on the open disc, the exponent is realized
-as exp((1/p_j) (Log(1 - conj(A_kj) lam) - Log(1 - conj(A_k0) lam))),
-which is the holomorphic branch equal to 1 at lam = 0.
+for |A| <= 1 and |lam| <= 1, Re(1 - conj(A) lam) >= 1 - |A| |lam| >= 0,
+so Arg(1 - conj(A) lam) stays in [-pi/2, pi/2], away from the branch cut
+of Log, and Log w = ln|w| + i Arg w (Kahan 1987).  The power is realized
+from real log-moduli and arguments as exp((1/p_j) (ln|w_kj| - ln|w_k0|
++ i (Arg w_kj - Arg w_k0))) with w_kj = 1 - conj(A_kj) lam, which is the
+holomorphic branch equal to 1 at lam = 0; no complex logarithm is taken.
 
 Such a map sends the unit circle into the ellipsoid boundary exactly
 when the tying identity
@@ -143,8 +146,9 @@ def _eval_components(params: ExtremalMapParams, exponents, lam: np.ndarray,
                      with_derivative: bool = False):
     """Evaluate all components (and optionally derivatives) on a flat grid.
 
-    Uses the principal-branch exponential form for the power factors and
-    an explicit per-factor product rule for derivatives; the latter
+    Uses the principal-branch exponential form for the power factors,
+    built from real log-moduli and arguments (see the module docstring),
+    and an explicit per-factor product rule for derivatives; the latter
     avoids the log-derivative singularity of circle factors at their
     zeros.  No finiteness filtering happens here.
     """
@@ -153,14 +157,18 @@ def _eval_components(params: ExtremalMapParams, exponents, lam: np.ndarray,
     out = np.empty((n, L), dtype=complex)
     dout = np.empty((n, L), dtype=complex) if with_derivative else None
     denom0 = 1.0 - np.conj(params.alpha0)[:, None] * lam[None, :]  # (m, L)
+    log_h = np.empty((m, L), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_d0 = np.log(denom0)
+        # Log w = ln|w| + i Arg w; Re w >= 0 keeps Arg off the branch cut
+        logmod_d0 = np.log(np.abs(denom0))
+        arg_d0 = np.angle(denom0)
         for j in range(n):
             p = exponents[j]
             al = params.alpha[:, j][:, None]          # (m, 1)
             rfl = params.r[:, j][:, None]             # (m, 1)
             num = 1.0 - np.conj(al) * lam[None, :]    # (m, L)
-            log_h = (np.log(num) - log_d0) / p
+            log_h.real = (np.log(np.abs(num)) - logmod_d0) / p
+            log_h.imag = (np.angle(num) - arg_d0) / p
             h = np.exp(log_h)                         # power factors, (m, L)
             mob = (lam[None, :] - al) / num           # circle factors
             f = np.where(rfl == 1, mob, 1.0) * h

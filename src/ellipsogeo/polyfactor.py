@@ -14,6 +14,7 @@ multiplicity.  This module expands such products and recovers
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +36,15 @@ class FactorError(ValueError):
     """Input polynomial is not in the factorable class (within tolerance)."""
 
 
+@functools.lru_cache(maxsize=32)
 def unit_circle_grid(M: int) -> np.ndarray:
-    """The M-th roots of unity exp(2 pi i k / M), k = 0..M-1."""
-    return np.exp(2j * np.pi * np.arange(M) / M)
+    """The M-th roots of unity exp(2 pi i k / M), k = 0..M-1.
+
+    Cached per M and shared between callers, so the array is read-only.
+    """
+    grid = np.exp(2j * np.pi * np.arange(M) / M)
+    grid.flags.writeable = False
+    return grid
 
 
 def check_tolerance(tol: float, name: str = "tol") -> float:

@@ -231,3 +231,117 @@ def test_constraint_residual_band_permutation_invariant():
     r2 = em.constraint_residual(shuffled, E)
     assert abs(r1 - r2) < 1e-12
     assert em.boundary_defect(shuffled, E, 128) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The power factor from ln|w| and Arg w against the complex-log formula
+
+
+def complex_log_components(params, exponents, lam, with_derivative=False):
+    """Oracle: each factor's power written with complex np.log, one
+    factor at a time, and the derivative by the product rule."""
+    lam = np.asarray(lam, dtype=complex)
+    vals = np.empty((params.n, lam.size), dtype=complex)
+    ders = np.empty((params.n, lam.size), dtype=complex)
+    with np.errstate(all="ignore"):
+        for j in range(params.n):
+            p = exponents[j]
+            f, df = [], []
+            for k in range(params.m):
+                al, a0 = params.alpha[k, j], params.alpha0[k]
+                num = 1.0 - np.conj(al) * lam
+                den = 1.0 - np.conj(a0) * lam
+                h = np.exp((np.log(num) - np.log(den)) / p)
+                dh = h * (-np.conj(al) / num + np.conj(a0) / den) / p
+                if params.r[k, j] == 1:
+                    mob = (lam - al) / num
+                    dmob = (1.0 - abs(al) ** 2) / num ** 2
+                    f.append(mob * h)
+                    df.append(dmob * h + mob * dh)
+                else:
+                    f.append(h)
+                    df.append(dh)
+            vals[j] = params.a[j] * np.prod(f, axis=0)
+            ders[j] = params.a[j] * sum(
+                df[k] * np.prod(f[:k] + f[k + 1:], axis=0)
+                for k in range(params.m))
+    return (vals, ders) if with_derivative else vals
+
+
+def random_member(rng, n, m, radius):
+    """Parameters of the family's shape with zeros up to `radius`; the
+    tying identity is not imposed, evaluation does not need it."""
+    def disc(shape):
+        return (rng.uniform(0.0, radius, shape)
+                * np.exp(1j * rng.uniform(0.0, 2 * np.pi, shape)))
+    a = rng.uniform(0.2, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return make_params(a, disc(m), disc((m, n)), rng.integers(0, 2, (m, n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eval_components_matches_complex_log_formula(seed):
+    rng = np.random.default_rng(seed)
+    for M in (64, 512, 8192):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        p = tuple(rng.uniform(0.5, 3.0, n))
+        params = random_member(rng, n, m, 0.999)
+        zeta = np.exp(2j * np.pi * np.arange(M) / M)
+        inner = (rng.uniform(0.0, 0.999, 64)
+                 * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 64)))
+        got = em._eval_components(params, p, zeta)
+        want = complex_log_components(params, p, zeta)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        got, dgot = em._eval_components(params, p, inner, True)
+        want, dwant = complex_log_components(params, p, inner, True)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(dgot - dwant)) <= 1e-14 * np.max(np.abs(dwant))
+
+
+M_EDGE = 256
+EDGE_GRID = np.exp(2j * np.pi * np.arange(M_EDGE) / M_EDGE)
+
+
+def edge_members():
+    """Circle zeros (r = 0, |alpha| = 1) and tied zeros placed exactly on
+    points of the M_EDGE grid, each with whether it must give zero
+    samples and non-finite columns."""
+    z1, zm1, zi, zmi = EDGE_GRID[[0, M_EDGE // 2, M_EDGE // 4,
+                                  3 * M_EDGE // 4]]
+    return [
+        # a circle zero at zeta = 1
+        (make_params([0.8, 0.9], [0.3], [[z1, 0.4]], [[0, 1]]),
+         True, False),
+        # circle zeros at zeta = -1 and i, beside Blaschke factors
+        (make_params([0.7, 1.1, 0.6], [0.2, -0.1j],
+                     [[zm1, 0.5, 0.1], [0.3j, zi, -0.2]],
+                     [[0, 1, 0], [1, 0, 1]]),
+         True, False),
+        # the tied zero at zeta = -i
+        (make_params([0.9, 0.5], [zmi], [[0.2, 0.6]], [[1, 0]]),
+         False, True),
+        # a tied zero and a circle zero on the same point zeta = 1
+        (make_params([0.8, 0.7], [z1, 0.1], [[z1, 0.3], [0.2, -0.4]],
+                     [[0, 1], [0, 0]]),
+         False, True),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", range(4))
+def test_eval_components_edge_members_match_complex_log_formula(index):
+    params, zeros, nonfinite = edge_members()[index]
+    p = (1.0, 2.0, 0.7)[:params.n]
+    E = Ellipsoid(p)
+    got = em.boundary_trace(params, E, M_EDGE)
+    want = complex_log_components(params, p, EDGE_GRID)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.array_equal(got == 0, want == 0)
+    assert np.any(want == 0) == zeros
+    finite = np.all(np.isfinite(want), axis=0)
+    assert np.all(finite) != nonfinite
+    assert np.max(np.abs(got[:, finite] - want[:, finite])) <= (
+        1e-14 * np.max(np.abs(want[:, finite])))
+    info = em.boundary_defect_info(params, E, M_EDGE)
+    assert info.excluded == M_EDGE - np.count_nonzero(finite)
+    u = E.defining_values(want[:, finite])
+    assert info.defect == pytest.approx(float(np.max(np.abs(u))), rel=1e-13)

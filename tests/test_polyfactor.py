@@ -11,7 +11,7 @@ from ellipsogeo import (
     check_self_inversive,
     factor,
 )
-from ellipsogeo.polyfactor import expand_circle_product
+from ellipsogeo.polyfactor import expand_circle_product, unit_circle_grid
 
 
 def sorted_zeros(zs):
@@ -190,3 +190,12 @@ def test_form_rejects_zero_outside_disc():
 def test_form_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
         CircleRationalForm(0.0, (0.5,))
+
+
+def test_unit_circle_grid_is_cached_read_only_and_exact():
+    grid = unit_circle_grid(512)
+    assert unit_circle_grid(512) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    assert np.array_equal(grid, np.exp(2j * np.pi * np.arange(512) / 512))
