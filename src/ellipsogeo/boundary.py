@@ -1,9 +1,8 @@
 """Boundary-value analysis on uniform circle grids.
 
-Fourier coefficient extraction, an analyticity test (negative-frequency
-mass), and a least-squares membership fit that decides whether
-candidate boundary data belongs to the rational-power extremal family
-at a given band degree.
+An analyticity test (negative-frequency mass) and a least-squares
+membership fit that decides whether candidate boundary data belongs to
+the rational-power extremal family at a given band degree.
 """
 
 from __future__ import annotations
@@ -20,36 +19,9 @@ from .polyfactor import unit_circle_grid
 __all__ = [
     "FamilyFitReport",
     "FitPreconditionError",
-    "FourierCoefficients",
     "analyticity_defect",
     "fit_extremal_family",
-    "fourier_coefficients",
 ]
-
-
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Discrete Fourier data c_k for k = -M/2 .. M/2 - 1, c_0 the mean."""
-
-    values: np.ndarray
-    indices: np.ndarray
-
-    def coefficient(self, k: int) -> complex:
-        i = k + self.values.size // 2
-        if not (0 <= i < self.values.size):
-            raise IndexError(f"index {k} outside the resolved band")
-        return complex(self.values[i])
-
-
-def fourier_coefficients(g) -> FourierCoefficients:
-    """Coefficients (1/M) sum_i g_i exp(-2 pi i k i_grid / M), centered order."""
-    v = np.asarray(g, dtype=complex).reshape(-1)
-    M = v.size
-    if not np.all(np.isfinite(v)):
-        raise ValueError("samples contain non-finite values")
-    c = np.fft.fftshift(np.fft.fft(v)) / M
-    idx = np.arange(-M // 2, M // 2)
-    return FourierCoefficients(c, idx)
 
 
 def analyticity_defect(g) -> float:
@@ -58,9 +30,13 @@ def analyticity_defect(g) -> float:
     Zero (to roundoff) exactly when the samples extend holomorphically
     from the circle into the disc at this resolution.
     """
-    fc = fourier_coefficients(g)
-    neg = fc.values[fc.indices < 0]
-    return float(np.max(np.abs(neg)))
+    v = np.asarray(g, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("samples contain non-finite values")
+    M = v.size
+    c = np.fft.fft(v) / M
+    # fft order: k = 0 .. (M - 1) // 2, then the negative k = -(M // 2) .. -1
+    return float(np.max(np.abs(c[(M + 1) // 2:]), initial=0.0))
 
 
 class FitPreconditionError(ValueError):

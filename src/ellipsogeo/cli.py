@@ -82,7 +82,7 @@ def _document(args, config: dict, **body) -> str:
     """The JSON text of one output document of the running subcommand."""
     doc = {"schema": SCHEMA, "command": args.command, "config": config,
            **body}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(args, config: dict, **body) -> None:
@@ -233,7 +233,7 @@ def cmd_factor(args, obj: dict) -> int:
     try:
         poly = polyfactor.SelfInversivePoly(coeffs, tol=max(args.tol, 1e-9))
         form = polyfactor.factor(poly, tol=args.tol)
-    except (ValueError, polyfactor.FactorError) as exc:
+    except ValueError as exc:
         return _failed(args, config, exc)
     _emit(args, config, status="ok", scale=form.scale,
           zeros=[pair(a) for a in form.zeros])

@@ -11,17 +11,11 @@ p_j >= 1/2.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Ellipsoid",
-    "GradientUndefinedError",
-    "PointClass",
-    "PointClassification",
-]
+__all__ = ["Ellipsoid", "GradientUndefinedError"]
 
 
 class GradientUndefinedError(ValueError):
@@ -37,20 +31,6 @@ class GradientUndefinedError(ValueError):
         super().__init__(
             f"wirtinger gradient undefined: component {index} is zero"
         )
-
-
-class PointClass(enum.Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
-@dataclass(frozen=True)
-class PointClassification:
-    """Result of a point membership query: the verdict and the raw u value."""
-
-    kind: PointClass
-    value: float
 
 
 @dataclass(frozen=True)
@@ -128,23 +108,6 @@ class Ellipsoid:
             raise GradientUndefinedError(int(zero[0]))
         p = np.asarray(self.exponents)
         return p * np.abs(z) ** (2.0 * p) / z
-
-    def classify(self, z, tol: float = 1e-10) -> PointClassification:
-        """Classify z as inside / boundary / outside within tolerance tol.
-
-        Points with |u(z)| <= tol count as boundary; the cutoff is the
-        caller's to choose, there is no hidden default elsewhere.
-        """
-        if not (tol > 0):
-            raise ValueError("tol must be positive")
-        u = self.defining_value(z)
-        if u < -tol:
-            kind = PointClass.INSIDE
-        elif u <= tol:
-            kind = PointClass.BOUNDARY
-        else:
-            kind = PointClass.OUTSIDE
-        return PointClassification(kind, u)
 
     def to_json(self) -> dict:
         return {"p": list(self.exponents)}

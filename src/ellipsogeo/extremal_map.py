@@ -199,7 +199,7 @@ def _interior(params: ExtremalMapParams, ellipsoid: Ellipsoid, lam,
     params.check_box()
     lam_arr = np.asarray(lam, dtype=complex)
     flat = np.atleast_1d(lam_arr).ravel()
-    if np.any(np.abs(flat) >= 1.0):
+    if not np.all(np.abs(flat) < 1.0):
         raise ValueError("derivative requires |lam| < 1" if with_derivative
                          else "evaluate requires |lam| < 1; use "
                          "boundary_trace for circle values")
@@ -337,7 +337,7 @@ def random_valid_params(rng: np.random.Generator, exponents,
         try:
             poly = polyfactor.SelfInversivePoly(tuple(lhs), tol=1e-9)
             form = polyfactor.factor(poly, tol=1e-7)
-        except (ValueError, polyfactor.FactorError):
+        except ValueError:
             continue
         if form.m != m:
             continue

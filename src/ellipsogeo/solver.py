@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, PointClass
+from .ellipsoid import Ellipsoid
 from . import extremal_map
 from .extremal_map import ExtremalMapParams
 from .polyfactor import check_tolerance, unit_circle_grid
@@ -247,10 +247,10 @@ def _intake(ellipsoid: Ellipsoid, problem, kind: str | None = None,
         raise ValueError("problem dimension does not match the ellipsoid")
     points = (("z", z), ("w", tg)) if got == "two-point" else (("z", z),)
     for name, v in points:
-        cls = ellipsoid.classify(v, tol=1e-12)
-        if cls.kind is not PointClass.INSIDE:
+        u = ellipsoid.defining_value(v)
+        if not u < -1e-12:
             raise ValueError(f"{name} is not strictly inside the ellipsoid "
-                             f"(u = {cls.value:.3e})")
+                             f"(u = {u:.3e})")
     pattern = None
     if r_pattern is not None:
         pattern = tuple(int(c) for c in r_pattern)

@@ -1,4 +1,4 @@
-"""Circle-grid Fourier analysis and the family membership fit."""
+"""The analyticity defect on circle grids and the family membership fit."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from ellipsogeo import (
     FitPreconditionError,
     analyticity_defect,
     fit_extremal_family,
-    fourier_coefficients,
 )
 from ellipsogeo import boundary, extremal_map as em
 
@@ -17,24 +16,7 @@ M0 = 64
 ZETA = np.exp(2j * np.pi * np.arange(M0) / M0)
 
 
-# --- Fourier coefficients ---------------------------------------------------
-
-def test_coefficients_of_identity():
-    fc = fourier_coefficients(ZETA)
-    assert abs(fc.coefficient(1) - 1.0) < 1e-13
-    assert abs(fc.coefficient(0)) < 1e-13
-    assert abs(fc.coefficient(-1)) < 1e-13
-
-
-def test_coefficients_of_conjugate():
-    fc = fourier_coefficients(np.conj(ZETA))
-    assert abs(fc.coefficient(-1) - 1.0) < 1e-13
-
-
-def test_coefficients_of_constant():
-    fc = fourier_coefficients(np.full(M0, 3.0, dtype=complex))
-    assert abs(fc.coefficient(0) - 3.0) < 1e-13
-
+# --- analyticity defect ------------------------------------------------------
 
 def test_analyticity_defect_polynomial():
     assert analyticity_defect(ZETA ** 2 + 5) < 1e-13
@@ -42,6 +24,19 @@ def test_analyticity_defect_polynomial():
 
 def test_analyticity_defect_conjugate():
     assert analyticity_defect(np.conj(ZETA)) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("M", [5, 7, 9])
+def test_analyticity_defect_on_odd_grids(M):
+    # an odd grid has (M - 1) // 2 negative frequencies, none of them the
+    # constant's
+    zeta = np.exp(2j * np.pi * np.arange(M) / M)
+    assert analyticity_defect(np.full(M, 3.0, dtype=complex)) < 1e-15
+    assert analyticity_defect(np.conj(zeta)) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_analyticity_defect_of_one_sample_is_zero():
+    assert analyticity_defect([2.0]) == 0.0
 
 
 def test_analyticity_defect_cleared_denominator_trace():

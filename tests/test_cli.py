@@ -312,6 +312,37 @@ def test_tolerance_that_is_not_a_finite_number_at_least_0_is_an_input_error(
     assert proc.stderr.startswith(f"error: argument {flag}: tolerance = ")
 
 
+def nan_a_bundle():
+    bundle = flat_bundle()
+    bundle["params"]["a"][0] = [float("nan"), 0.0]
+    return bundle
+
+
+@pytest.mark.parametrize("command, make_input, extra", [
+    ("eval", flat_bundle, ["--at", "nan,0"]),
+    ("eval", nan_a_bundle, ["--at", "0.1,0"]),
+    ("oracle", lambda: {"kind": "mobius", "ellipsoid": {"p": [1.0]},
+                        "two_point": {"z": [[float("nan"), 0.0]],
+                                      "w": [[0.5, 0.0]]}}, []),
+    ("functional", lambda: {"build": {"kind": "point-direction",
+                                      "z": [[float("nan"), 0.0]],
+                                      "X": [[1.0, 0.0]]}}, []),
+])
+def test_a_document_with_a_non_finite_number_is_an_input_error(
+        tmp_path, capsys, command, make_input, extra):
+    # NaN is not JSON, so such a document is refused, not written
+    inp = tmp_path / "in.json"
+    write_json(inp, make_input())
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(inp), *extra]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert cli.main([*argv, "--output", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_outputs_are_deterministic(tmp_path):
     inp = tmp_path / "prob.json"
     write_json(inp, {

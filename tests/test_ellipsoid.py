@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellipsogeo import (
-    Ellipsoid,
-    GradientUndefinedError,
-    PointClass,
-)
+from ellipsogeo import Ellipsoid, GradientUndefinedError
 
 
 def test_defining_value_origin():
@@ -72,19 +68,6 @@ def test_gradient_matches_directional_derivative(n, seed):
     assert num == pytest.approx(ana, rel=1e-5, abs=1e-8)
 
 
-def test_classify_inside_boundary_outside():
-    assert Ellipsoid((1.0, 1.0)).classify((0.0, 0.0), 1e-12).kind is PointClass.INSIDE
-    assert Ellipsoid((1.0, 1.0)).classify((1.0, 0.0), 1e-12).kind is PointClass.BOUNDARY
-    res = Ellipsoid((1.0, 2.0)).classify((1.0, 1.0), 1e-12)
-    assert res.kind is PointClass.OUTSIDE
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_classify_requires_positive_tol():
-    with pytest.raises(ValueError):
-        Ellipsoid((1.0,)).classify((0.5,), tol=0.0)
-
-
 def test_convexity_threshold():
     assert Ellipsoid((0.5, 2.0)).is_convex
     assert not Ellipsoid((0.49, 2.0)).is_convex
@@ -100,20 +83,3 @@ def test_exponents_must_be_positive():
 def test_json_round_trip():
     E = Ellipsoid((1.0, 2.5, 0.75))
     assert Ellipsoid.from_json(E.to_json()) == E
-
-
-@given(st.integers(1, 4), st.integers(0, 500))
-@settings(max_examples=30, deadline=None)
-def test_classification_consistent_with_defining_value(n, seed):
-    rng = np.random.default_rng(seed)
-    E = Ellipsoid(tuple(rng.uniform(0.5, 3.0, n)))
-    z = rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n)
-    res = E.classify(z, tol=1e-10)
-    u = E.defining_value(z)
-    assert res.value == pytest.approx(u, abs=1e-14)
-    if u < -1e-10:
-        assert res.kind is PointClass.INSIDE
-    elif u > 1e-10:
-        assert res.kind is PointClass.OUTSIDE
-    else:
-        assert res.kind is PointClass.BOUNDARY

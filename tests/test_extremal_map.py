@@ -181,6 +181,16 @@ def test_evaluate_rejects_boundary_argument():
         em.evaluate(flat_params(), FLAT_E, 1.0)
 
 
+@pytest.mark.parametrize("lam", [complex("nan"),
+                                 [0.1, complex(0.2, float("nan"))]])
+def test_evaluate_and_derivative_reject_a_non_finite_argument(lam):
+    # NaN fails |lam| < 1 like a point on the circle
+    with pytest.raises(ValueError, match=r"evaluate requires \|lam\| < 1"):
+        em.evaluate(flat_params(), FLAT_E, lam)
+    with pytest.raises(ValueError, match=r"derivative requires \|lam\| < 1"):
+        em.derivative(flat_params(), FLAT_E, lam)
+
+
 def test_boundary_trace_requires_power_of_two():
     with pytest.raises(ValueError):
         em.boundary_trace(flat_params(), FLAT_E, 12)

@@ -987,6 +987,25 @@ def test_solvers_and_ball_oracle_refuse_the_other_problem_kind():
         ball_oracle(E, pd)
 
 
+@pytest.mark.parametrize("name, make", [
+    ("z", lambda v: PointDirectionProblem(v, (0.3, -0.1))),
+    ("z", lambda v: TwoPointProblem(v, (0.1, 0.2j))),
+    ("w", lambda v: TwoPointProblem((0.1, 0.2j), v)),
+])
+def test_intake_takes_strictly_inside_as_u_below_minus_1e_12(name, make):
+    E = Ellipsoid((1.0, 2.0))
+    inside = (0.6, (0.64 - 1e-11) ** 0.25)
+    near = (0.6, (0.64 - 5e-13) ** 0.25)
+    assert E.defining_value(inside) < -1e-12 < E.defining_value(near) < 0
+    assert solver._intake(E, make(inside)).active == (0, 1)
+    for v in (near, (0.0, 1.0), (complex("nan"), 0.0)):
+        want = (f"{name} is not strictly inside the ellipsoid "
+                f"(u = {E.defining_value(v):.3e})")
+        with pytest.raises(ValueError) as info:
+            solver._intake(E, make(v))
+        assert str(info.value) == want
+
+
 # ---------------------------------------------------------------------------
 # brute-force competitor search
 
